@@ -328,20 +328,6 @@ impl<'s, 'g, 'c> PassEngine<'s, 'g, 'c> {
     /// neighbouring gains. Allocation-free: the `pre` pin counts live in
     /// a scratch buffer reserved to the maximum node degree.
     fn apply_move(&mut self, node: NodeId, from: usize, to: usize) {
-        let graph = self.state.graph();
-        let mut pre = std::mem::take(&mut self.scratch.pre);
-        pre.clear();
-        #[cfg(debug_assertions)]
-        let pre_cap = pre.capacity();
-        pre.extend(
-            graph
-                .nets(node)
-                .iter()
-                .map(|&e| (self.state.net_pins_in(e, from), self.state.net_pins_in(e, to))),
-        );
-        #[cfg(debug_assertions)]
-        assert_eq!(pre.capacity(), pre_cap, "pre scratch reallocated");
-
         // Remove the cell's own entries and lock it.
         let from_slot = self.block_to_slot[from];
         for ts in 0..self.active.len() {
@@ -352,7 +338,13 @@ impl<'s, 'g, 'c> PassEngine<'s, 'g, 'c> {
         }
         self.locked[node.index()] = true;
 
-        self.state.move_node(node, to);
+        let mut pre = std::mem::take(&mut self.scratch.pre);
+        pre.clear();
+        #[cfg(debug_assertions)]
+        let pre_cap = pre.capacity();
+        self.state.move_node_reporting(node, to, |counts| pre.push(counts));
+        #[cfg(debug_assertions)]
+        assert_eq!(pre.capacity(), pre_cap, "pre scratch reallocated");
 
         match self.ctx.config.gain_objective {
             GainObjective::CutNets => {

@@ -7,14 +7,18 @@
 //!
 //! Boundary refinement rounds run their pair passes as independent
 //! *jobs*: [`top_crossing_pairs`] returns block-disjoint pairs, every
-//! job refines a private clone of the round-start snapshot, and the
-//! surviving moves are committed to the master state in pair-index
+//! pair's boundary is extracted once per round from the cut nets' pins,
+//! every job refines a private clone of the round-start snapshot, and
+//! the surviving moves are committed to the master state in pair-index
 //! order. Because each job's input is the snapshot (never a sibling's
 //! output) and the commit order is fixed, the result is bit-identical
 //! whether the jobs run on one worker or many
-//! ([`RefineConfig::workers`]).
+//! ([`RefineConfig::workers`]). The state's pin distribution is sparse
+//! (O(pins), independent of the block count), so the per-job clone and
+//! the per-round boundary extraction both scale with the graph's pins,
+//! never with nets × k.
 
-use fpart_hypergraph::{NetId, NodeId};
+use fpart_hypergraph::NodeId;
 
 use crate::budget::BudgetTracker;
 use crate::config::FpartConfig;
@@ -193,6 +197,8 @@ fn refine_boundary_inner(
             budget.map(|t| (0..pairs.len()).map(|i| t.fork_worker(next_job + i)).collect());
         let forks_ref = forks.as_deref();
         let pairs_ref = &pairs[..];
+        let boundaries = pair_boundaries(state, &pairs);
+        let boundaries_ref = &boundaries[..];
         let snapshot: &PartitionState<'_> = state;
         // Chrome-trace lane of each job: mirror `run_indexed`'s chunked
         // worker layout (lane 0 stays the enclosing flow). Lanes are
@@ -203,9 +209,7 @@ fn refine_boundary_inner(
             child.bump(Counter::PairJobs);
             child.set_span_lane(1 + (i / lane_chunk) as u32);
             child.span_open(crate::obs::SpanKind::PairJob, 0);
-            let mut local = snapshot.clone();
-            let mut boundary: Vec<NodeId> = Vec::new();
-            boundary_cells(&local, a, b, &mut boundary);
+            let boundary = &boundaries_ref[i][..];
             if boundary.is_empty() {
                 child.span_close(crate::obs::SpanStats::default());
                 return PairOutcome {
@@ -221,8 +225,9 @@ fn refine_boundary_inner(
                 minimum_reached: true, // strict S_MAX cap during refinement
                 budget: forks_ref.map(|f| &f[i]),
             };
+            let mut local = snapshot.clone();
             let started = child.start();
-            let stats = improve_cells_metered(&mut local, &[a, b], &boundary, &ctx, child);
+            let stats = improve_cells_metered(&mut local, &[a, b], boundary, &ctx, child);
             child.stop_improve(ImproveKind::Boundary, started);
             child.bump(Counter::BoundaryRefinements);
             child.span_close(crate::obs::SpanStats {
@@ -293,23 +298,50 @@ pub struct BoundaryRefineStats {
     pub boundary: usize,
 }
 
-/// Collects into `out` the cells of blocks `a` and `b` incident to at
-/// least one net with pins in both — the cells whose moves can change
-/// the pair's cut. The buffer is cleared and reused; cells appear once,
-/// in node-id order.
-fn boundary_cells(state: &PartitionState<'_>, a: usize, b: usize, out: &mut Vec<NodeId>) {
-    out.clear();
+/// Extracts the boundary of every pair of `pairs` (block-disjoint, as
+/// [`top_crossing_pairs`] returns them): the cells of the pair's two
+/// blocks incident to at least one net with pins in both — the cells
+/// whose moves can change the pair's cut. Entry `i` belongs to
+/// `pairs[i]` and lists each cell once, in node-id order.
+///
+/// One pass over the cut nets serves the whole round: a net with pins
+/// in both blocks of a pair puts its pins in those blocks on that
+/// pair's boundary. The cost is O(nets + Σ pins of cut nets), never a
+/// scan of every node per pair.
+fn pair_boundaries(state: &PartitionState<'_>, pairs: &[(usize, usize)]) -> Vec<Vec<NodeId>> {
+    const NO_PAIR: usize = usize::MAX;
     let graph = state.graph();
-    for v in graph.node_ids() {
-        let c = state.block_of(v);
-        if c != a && c != b {
+    // `pair_of[c]` is the pair holding block `c`, `partner[c]` the
+    // pair's other block.
+    let mut pair_of = vec![NO_PAIR; state.block_count()];
+    let mut partner = vec![0usize; state.block_count()];
+    for (p, &(a, b)) in pairs.iter().enumerate() {
+        pair_of[a] = p;
+        pair_of[b] = p;
+        partner[a] = b;
+        partner[b] = a;
+    }
+    let mut out = vec![Vec::new(); pairs.len()];
+    for net in graph.net_ids() {
+        if state.net_span(net) < 2 {
             continue;
         }
-        let other = if c == a { b } else { a };
-        if graph.nets(v).iter().any(|&net| state.net_pins_in(net, other) > 0) {
-            out.push(v);
+        let crosses = |c: usize| pair_of[c] != NO_PAIR && state.net_pins_in(net, partner[c]) > 0;
+        if !state.net_blocks(net).any(|(c, _)| crosses(c)) {
+            continue;
+        }
+        for &v in graph.pins(net) {
+            let c = state.block_of(v);
+            if crosses(c) {
+                out[pair_of[c]].push(v);
+            }
         }
     }
+    for cells in &mut out {
+        cells.sort_unstable();
+        cells.dedup();
+    }
+    out
 }
 
 /// The block pairs with the most crossing nets, each block used at most
@@ -320,14 +352,14 @@ pub fn top_crossing_pairs(state: &PartitionState<'_>, limit: usize) -> Vec<(usiz
     let graph = state.graph();
     let mut crossings = std::collections::HashMap::<(usize, usize), usize>::new();
     for net in graph.net_ids() {
-        let net: NetId = net;
         if state.net_span(net) < 2 {
             continue;
         }
-        let blocks: Vec<usize> = (0..k).filter(|&b| state.net_pins_in(net, b) > 0).collect();
-        for i in 0..blocks.len() {
-            for j in (i + 1)..blocks.len() {
-                *crossings.entry((blocks[i], blocks[j])).or_default() += 1;
+        // The run is block-sorted, so every pair comes out as (low, high).
+        let mut blocks = state.net_blocks(net);
+        while let Some((a, _)) = blocks.next() {
+            for (b, _) in blocks.clone() {
+                *crossings.entry((a, b)).or_default() += 1;
             }
         }
     }
@@ -419,12 +451,27 @@ mod tests {
         assert_eq!(metrics.improve_time(ImproveKind::Boundary).count, improved.calls as u64);
     }
 
+    /// Brute-force boundary oracle: scans every node and keeps the cells
+    /// of blocks `a` and `b` incident to at least one net with pins in
+    /// both, in node-id order.
+    fn boundary_cells(state: &PartitionState<'_>, a: usize, b: usize) -> Vec<NodeId> {
+        let graph = state.graph();
+        graph
+            .node_ids()
+            .filter(|&v| {
+                let c = state.block_of(v);
+                let other = if c == a { b } else { a };
+                (c == a || c == b)
+                    && graph.nets(v).iter().any(|&net| state.net_pins_in(net, other) > 0)
+            })
+            .collect()
+    }
+
     #[test]
     fn boundary_cells_touch_crossing_nets_only() {
         let (g, planted) = clustered_circuit(&ClusteredConfig::new("cl", 3, 10), 3);
         let state = PartitionState::from_assignment(&g, planted, 3);
-        let mut cells = Vec::new();
-        boundary_cells(&state, 0, 1, &mut cells);
+        let cells = boundary_cells(&state, 0, 1);
         for &v in &cells {
             let c = state.block_of(v);
             assert!(c == 0 || c == 1);
@@ -441,6 +488,34 @@ mod tests {
             let other = usize::from(c == 0);
             if g.nets(v).iter().any(|&e| state.net_pins_in(e, other) > 0) {
                 assert!(listed.contains(&v), "missing boundary cell {v:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn pair_boundaries_match_the_node_scan() {
+        use fpart_hypergraph::gen::{rent_circuit, RentConfig};
+        use fpart_hypergraph::rng::StdRng;
+        let mut rng = StdRng::seed_from_u64(11);
+        for (trial, k) in [2usize, 3, 5, 8, 13, 24, 40, 64].into_iter().enumerate() {
+            let g = rent_circuit(&RentConfig::new("rent", 600, 40), trial as u64);
+            // Half the trials scatter cells uniformly (almost every net
+            // cut); the rest keep runs of consecutive ids together, so
+            // pairs cross only some nets.
+            let assignment: Vec<u32> = if trial % 2 == 0 {
+                (0..g.node_count()).map(|_| rng.gen_range(0..k as u32)).collect()
+            } else {
+                (0..g.node_count()).map(|i| (i * k / g.node_count()) as u32).collect()
+            };
+            let state = PartitionState::from_assignment(&g, assignment, k);
+            for limit in [1, 4, k] {
+                let pairs = top_crossing_pairs(&state, limit);
+                assert!(!pairs.is_empty(), "k={k}: no crossing pairs");
+                let boundaries = pair_boundaries(&state, &pairs);
+                assert_eq!(boundaries.len(), pairs.len());
+                for (&(a, b), cells) in pairs.iter().zip(&boundaries) {
+                    assert_eq!(cells, &boundary_cells(&state, a, b), "k={k} pair ({a}, {b})");
+                }
             }
         }
     }

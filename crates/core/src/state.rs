@@ -10,9 +10,63 @@
 //! to `j`; the external count `T_j^E` is the number of primary terminals
 //! whose net touches `j` (used by the paper's external-I/O balancing
 //! factor `d_k^E`).
+//!
+//! # Sparse pin distribution
+//!
+//! Each net keeps one *run* of `(block, pins)` entries, one per block
+//! it touches, sorted by block. A net with `d` pins touches at most `d`
+//! blocks, so its run fits in the slot the graph already reserves for
+//! its pins ([`Hypergraph::pin_range`]); the run's length is the net's
+//! span. The distribution therefore costs 8 B per pin whatever the
+//! block count: adding a block is O(1), a rebuild
+//! ([`PartitionState::recount`]) is O(pins + k), and a clone — which
+//! every boundary-refinement pair job takes of its round-start
+//! snapshot — is O(nodes + pins). A lookup scans the net's run and a
+//! move costs O(Σ span) over the moved cell's nets. The gain functions
+//! read a candidate move's two pin counts through `net_pins_from_to`,
+//! which answers nets of span one or two without a search.
 
 use fpart_device::BlockUsage;
 use fpart_hypergraph::{Hypergraph, NetId, NodeId};
+
+/// One entry of a net's run: `pins` of the net lie in `block`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct BlockPins {
+    block: u32,
+    pins: u32,
+}
+
+/// Position of `block` in a block-sorted run: the number of entries
+/// below it, found by a branch-free linear count. The block is present
+/// when the entry at that position is the block itself ([`pins_at`]).
+#[inline]
+fn rank(run: &[BlockPins], block: u32) -> usize {
+    run.iter().map(|e| usize::from(e.block < block)).sum()
+}
+
+/// Pins of `block` given its position `at` in a run (0 when absent).
+#[inline]
+fn pins_at(run: &[BlockPins], at: usize, block: u32) -> u32 {
+    match run.get(at) {
+        Some(e) if e.block == block => e.pins,
+        _ => 0,
+    }
+}
+
+/// Restores block order after the entry at `at` changed its block, by
+/// swapping it towards its place (runs are short, so only a few entries
+/// move).
+#[inline]
+fn resettle(run: &mut [BlockPins], mut at: usize) {
+    while at > 0 && run[at - 1].block > run[at].block {
+        run.swap(at - 1, at);
+        at -= 1;
+    }
+    while at + 1 < run.len() && run[at + 1].block < run[at].block {
+        run.swap(at, at + 1);
+        at += 1;
+    }
+}
 
 /// Mutable k-way partition of a hypergraph with O(deg) single-cell moves.
 ///
@@ -27,9 +81,10 @@ pub struct PartitionState<'a> {
     block_sizes: Vec<u64>,
     block_terminals: Vec<usize>,
     block_externals: Vec<usize>,
-    /// Net-major pin-distribution matrix: `dist[net * stride + block]`.
-    dist: Vec<u32>,
-    stride: usize,
+    /// Per-net block-sorted runs, laid out like the graph's pins: net
+    /// `e`'s run is the first `span[e]` entries of `runs[pin_range(e)]`;
+    /// the rest of the slot is unused.
+    runs: Vec<BlockPins>,
     span: Vec<u32>,
     cut_nets: usize,
     /// Running `Σ T_i`, kept in lockstep with `block_terminals` so
@@ -56,15 +111,13 @@ impl<'a> PartitionState<'a> {
         assert_eq!(assignment.len(), graph.node_count(), "assignment must cover every node");
         assert!(graph.node_count() == 0 || k > 0, "non-empty graph needs at least one block");
         assert!(assignment.iter().all(|&b| (b as usize) < k), "assignment references a block >= k");
-        let stride = k.max(1).next_power_of_two();
         let mut state = PartitionState {
             graph,
             assignment,
             block_sizes: vec![0; k],
             block_terminals: vec![0; k],
             block_externals: vec![0; k],
-            dist: vec![0; graph.net_count() * stride],
-            stride,
+            runs: vec![BlockPins::default(); graph.pin_count()],
             span: vec![0; graph.net_count()],
             cut_nets: 0,
             terminal_total: 0,
@@ -134,11 +187,55 @@ impl<'a> PartitionState<'a> {
         self.terminal_total
     }
 
+    /// The run of `net`: one entry per block it touches, block-sorted.
+    #[inline]
+    fn run(&self, net: NetId) -> &[BlockPins] {
+        let lo = self.graph.pin_range(net).start;
+        &self.runs[lo..lo + self.span[net.index()] as usize]
+    }
+
     /// Returns how many pins of `net` lie in `block`.
     #[inline]
     #[must_use]
     pub fn net_pins_in(&self, net: NetId, block: usize) -> u32 {
-        self.dist[net.index() * self.stride + block]
+        let run = self.run(net);
+        pins_at(run, rank(run, block as u32), block as u32)
+    }
+
+    /// Returns the pin counts `(d_from, d_to)` of `net` in `from`, a block
+    /// it touches (the block of one of its cells), and in another block
+    /// `to`.
+    ///
+    /// Equal to `(net_pins_in(net, from), net_pins_in(net, to))`, but
+    /// faster on the gain paths, where most nets span one or two
+    /// blocks: a net of span 1 lies wholly in `from`, so its pin
+    /// count answers without reading its run, and a run of two entries
+    /// holds `from` in one of them.
+    // With a plain `#[inline]` the compiler keeps this out of line in the
+    // gain functions, which costs the flat engine several percent.
+    #[allow(clippy::inline_always)]
+    #[inline(always)]
+    #[must_use]
+    pub(crate) fn net_pins_from_to(&self, net: NetId, from: usize, to: usize) -> (u32, u32) {
+        debug_assert_ne!(from, to, "the pin counts of a move between two blocks");
+        debug_assert!(self.net_pins_in(net, from) > 0, "`from` must touch the net");
+        match self.span[net.index()] {
+            1 => (self.graph.pin_range(net).len() as u32, 0),
+            2 => {
+                let run = self.run(net);
+                let f = usize::from(run[1].block == from as u32);
+                let other = run[1 - f];
+                (run[f].pins, if other.block == to as u32 { other.pins } else { 0 })
+            }
+            _ => self.net_pins_from_to_wide(net, from, to),
+        }
+    }
+
+    /// [`Self::net_pins_from_to`] of a net spanning three or more blocks,
+    /// kept out of line so the common cases inline.
+    #[inline(never)]
+    fn net_pins_from_to_wide(&self, net: NetId, from: usize, to: usize) -> (u32, u32) {
+        (self.net_pins_in(net, from), self.net_pins_in(net, to))
     }
 
     /// Returns the number of blocks `net` touches.
@@ -146,6 +243,15 @@ impl<'a> PartitionState<'a> {
     #[must_use]
     pub fn net_span(&self, net: NetId) -> u32 {
         self.span[net.index()]
+    }
+
+    /// Returns the blocks `net` touches, in increasing block order, each
+    /// with the number of the net's pins it holds (never 0). O(span).
+    pub(crate) fn net_blocks(
+        &self,
+        net: NetId,
+    ) -> impl ExactSizeIterator<Item = (usize, u32)> + Clone + '_ {
+        self.run(net).iter().map(|e| (e.block as usize, e.pins))
     }
 
     /// Returns the full per-node assignment as raw block indices.
@@ -160,6 +266,23 @@ impl<'a> PartitionState<'a> {
     #[must_use]
     pub fn into_assignment(self) -> Vec<u32> {
         self.assignment
+    }
+
+    /// Estimated heap footprint of this state in bytes: the per-node
+    /// assignment, the per-net runs and spans, and the per-block
+    /// counters. Mirrors [`Hypergraph::approx_bytes`] (the borrowed
+    /// graph is not counted); an estimate, not an allocator measurement.
+    #[must_use]
+    pub fn approx_bytes(&self) -> u64 {
+        fn slice<T>(v: &[T]) -> u64 {
+            std::mem::size_of_val(v) as u64
+        }
+        slice(&self.assignment)
+            + slice(&self.runs)
+            + slice(&self.span)
+            + slice(&self.block_sizes)
+            + slice(&self.block_terminals)
+            + slice(&self.block_externals)
     }
 
     /// Collects the nodes of one block (O(n) scan).
@@ -177,29 +300,64 @@ impl<'a> PartitionState<'a> {
         out.extend(self.graph.node_ids().filter(|&v| self.block_of(v) == block));
     }
 
-    /// Appends a new empty block and returns its index.
+    /// Appends a new empty block and returns its index. O(1): no net
+    /// touches the new block yet, so no run changes.
     pub fn add_block(&mut self) -> usize {
         let b = self.k;
         self.k += 1;
         self.block_sizes.push(0);
         self.block_terminals.push(0);
         self.block_externals.push(0);
-        if self.k > self.stride {
-            let new_stride = self.stride * 2;
-            let mut dist = vec![0u32; self.graph.net_count() * new_stride];
-            for e in 0..self.graph.net_count() {
-                let old = e * self.stride;
-                let new = e * new_stride;
-                dist[new..new + self.stride].copy_from_slice(&self.dist[old..old + self.stride]);
-            }
-            self.dist = dist;
-            self.stride = new_stride;
-        }
         b
     }
 
+    /// Moves one pin of `net` from block `from` to block `to` in the
+    /// net's run, returning the pre-move pin counts `(d_from, d_to)`.
+    /// Entries that drop to zero leave the run and new blocks enter it
+    /// at their sorted position, so the run stays canonical; the span
+    /// follows the run's length.
+    #[inline]
+    fn shift_pin(&mut self, net: NetId, from: u32, to: u32) -> (u32, u32) {
+        let len = self.span[net.index()] as usize;
+        // At most one entry per pin: the slot always has room for `to`.
+        let run = &mut self.runs[self.graph.pin_range(net)];
+        let (i, j) = (rank(&run[..len], from), rank(&run[..len], to));
+        debug_assert!(run[i].block == from, "node must be counted in its source block");
+        let to_present = j < len && run[j].block == to;
+        let da0 = run[i].pins;
+        let db0 = if to_present { run[j].pins } else { 0 };
+        let len1 = match (da0 > 1, to_present) {
+            (true, true) => {
+                run[i].pins -= 1;
+                run[j].pins += 1;
+                len
+            }
+            (true, false) => {
+                run[i].pins -= 1;
+                run[len] = BlockPins { block: to, pins: 1 };
+                resettle(&mut run[..=len], len);
+                len + 1
+            }
+            (false, true) => {
+                run[j].pins += 1;
+                // Sink the emptied entry past the end of the run.
+                run[i].block = u32::MAX;
+                resettle(&mut run[..len], i);
+                len - 1
+            }
+            (false, false) => {
+                // `from` leaves and `to` enters: reuse the entry.
+                run[i].block = to;
+                resettle(&mut run[..len], i);
+                len
+            }
+        };
+        self.span[net.index()] = len1 as u32;
+        (da0, db0)
+    }
+
     /// Moves a node to another block, updating every counter in
-    /// `O(degree(node))`.
+    /// `O(Σ span)` over the node's nets.
     ///
     /// Moving a node to the block it already occupies is a no-op.
     ///
@@ -207,6 +365,25 @@ impl<'a> PartitionState<'a> {
     ///
     /// Panics if `to >= block_count()`.
     pub fn move_node(&mut self, node: NodeId, to: usize) {
+        self.move_node_reporting(node, to, |_| {});
+    }
+
+    /// [`Self::move_node`] that also reports, for each net of `node` in
+    /// [`Hypergraph::nets`] order, the pin counts `(d_from, d_to)` the
+    /// net had in the source and target blocks before the move — the
+    /// counts a gain update needs, without a second lookup per net.
+    /// Nothing is reported for a no-op move.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `to >= block_count()`.
+    #[inline]
+    pub(crate) fn move_node_reporting(
+        &mut self,
+        node: NodeId,
+        to: usize,
+        mut report: impl FnMut((u32, u32)),
+    ) {
         assert!(to < self.k, "target block {to} out of range");
         let from = self.assignment[node.index()] as usize;
         if from == to {
@@ -217,23 +394,12 @@ impl<'a> PartitionState<'a> {
         self.block_sizes[from] -= size;
         self.block_sizes[to] += size;
 
-        for &net in self.graph.nets(node) {
-            let base = net.index() * self.stride;
-            let da0 = self.dist[base + from];
-            let db0 = self.dist[base + to];
-            debug_assert!(da0 > 0, "node must be counted in its source block");
-            self.dist[base + from] = da0 - 1;
-            self.dist[base + to] = db0 + 1;
-
+        let graph = self.graph;
+        for &net in graph.nets(node) {
             let span0 = self.span[net.index()];
-            let mut span1 = span0;
-            if da0 == 1 {
-                span1 -= 1;
-            }
-            if db0 == 0 {
-                span1 += 1;
-            }
-            self.span[net.index()] = span1;
+            let (da0, db0) = self.shift_pin(net, from as u32, to as u32);
+            report((da0, db0));
+            let span1 = self.span[net.index()];
 
             if span0 >= 2 && span1 < 2 {
                 self.cut_nets -= 1;
@@ -241,7 +407,7 @@ impl<'a> PartitionState<'a> {
                 self.cut_nets += 1;
             }
 
-            let term_count = self.graph.net_terminal_count(net);
+            let term_count = graph.net_terminal_count(net);
             let has_term = term_count > 0;
             let exposed0 = span0 >= 2 || has_term;
             let exposed1 = span1 >= 2 || has_term;
@@ -294,40 +460,46 @@ impl<'a> PartitionState<'a> {
         }
     }
 
-    /// Recomputes every counter from the assignment. Quadratic-ish; used
-    /// at construction and by [`Self::assert_consistent`].
+    /// Recomputes every counter from the assignment in O(pins + k),
+    /// using a k-entry pin-count scratch that is reset per net. Used at
+    /// construction and by [`Self::assert_consistent`].
     pub fn recount(&mut self) {
         self.block_sizes.iter_mut().for_each(|s| *s = 0);
         self.block_terminals.iter_mut().for_each(|t| *t = 0);
         self.block_externals.iter_mut().for_each(|t| *t = 0);
-        self.dist.iter_mut().for_each(|d| *d = 0);
         self.cut_nets = 0;
 
         for v in self.graph.node_ids() {
             self.block_sizes[self.assignment[v.index()] as usize] +=
                 u64::from(self.graph.node_size(v));
         }
+        let mut count = vec![0u32; self.k];
         for e in self.graph.net_ids() {
-            let base = e.index() * self.stride;
+            let lo = self.graph.pin_range(e).start;
+            let mut len = 0usize;
             for &p in self.graph.pins(e) {
-                self.dist[base + self.assignment[p.index()] as usize] += 1;
-            }
-            let span = (0..self.k).filter(|&b| self.dist[base + b] > 0).count() as u32;
-            self.span[e.index()] = span;
-            if span >= 2 {
-                self.cut_nets += 1;
-            }
-            let term_count = self.graph.net_terminal_count(e);
-            let exposed = span >= 2 || term_count > 0;
-            for b in 0..self.k {
-                if self.dist[base + b] > 0 {
-                    if exposed {
-                        self.block_terminals[b] += 1;
-                    }
-                    if term_count > 0 {
-                        self.block_externals[b] += term_count;
-                    }
+                let b = self.assignment[p.index()];
+                if count[b as usize] == 0 {
+                    self.runs[lo + len].block = b;
+                    len += 1;
                 }
+                count[b as usize] += 1;
+            }
+            let run = &mut self.runs[lo..lo + len];
+            run.sort_unstable_by_key(|r| r.block);
+            let term_count = self.graph.net_terminal_count(e);
+            let exposed = len >= 2 || term_count > 0;
+            for r in run {
+                let b = r.block as usize;
+                r.pins = std::mem::take(&mut count[b]);
+                if exposed {
+                    self.block_terminals[b] += 1;
+                }
+                self.block_externals[b] += term_count;
+            }
+            self.span[e.index()] = len as u32;
+            if len >= 2 {
+                self.cut_nets += 1;
             }
         }
         self.terminal_total = self.block_terminals.iter().sum();
@@ -348,7 +520,9 @@ impl<'a> PartitionState<'a> {
         assert_eq!(self.span, fresh.span, "net spans diverged");
         assert_eq!(self.cut_nets, fresh.cut_nets, "cut count diverged");
         assert_eq!(self.terminal_total, fresh.terminal_total, "terminal sum diverged");
-        assert_eq!(self.dist, fresh.dist, "pin distribution diverged");
+        for e in self.graph.net_ids() {
+            assert_eq!(self.run(e), fresh.run(e), "pin distribution of net {e:?} diverged");
+        }
     }
 }
 
@@ -440,7 +614,7 @@ mod tests {
         let g = sample();
         let mut s = PartitionState::from_assignment(&g, vec![0, 0, 0, 0], 1);
         let b1 = s.add_block();
-        let b2 = s.add_block(); // forces stride growth (1 → 2 → 4)
+        let b2 = s.add_block();
         assert_eq!((b1, b2), (1, 2));
         s.move_node(NodeId::from_index(3), b2);
         s.assert_consistent();
@@ -487,6 +661,82 @@ mod tests {
         s.apply(snapshot);
         s.assert_consistent();
         assert_eq!(s.assignment(), &[0, 0, 1, 1]);
+    }
+
+    /// One net over 40 cells, spread over many blocks in the test, and a
+    /// few small nets, with a terminal on the wide net.
+    fn wide_net() -> Hypergraph {
+        let mut b = HypergraphBuilder::new();
+        let n: Vec<NodeId> = (0..40).map(|i| b.add_node(format!("n{i}"), 1)).collect();
+        let wide = b.add_net("wide", n.iter().copied()).unwrap();
+        b.add_terminal("t", wide).unwrap();
+        for i in 0..10 {
+            b.add_net(format!("e{i}"), [n[i], n[i + 20]]).unwrap();
+        }
+        b.finish().unwrap()
+    }
+
+    #[test]
+    fn runs_stay_sorted_and_exact_on_a_wide_net() {
+        let g = wide_net();
+        let wide = NetId::from_index(0);
+        let mut s = PartitionState::from_assignment(&g, (0..40).map(|i| i % 13).collect(), 13);
+        assert_eq!(s.net_span(wide), 13);
+        // Empty blocks from the middle, fill fresh ones, then collapse.
+        for v in 0..40 {
+            s.move_node(NodeId::from_index(v), (v * 7 + 3) % 29 % 13);
+            s.assert_consistent();
+        }
+        for _ in 0..20 {
+            s.add_block();
+        }
+        for v in (0..40).rev() {
+            s.move_node(NodeId::from_index(v), 32 - v % 5);
+            s.assert_consistent();
+        }
+        let blocks: Vec<(usize, u32)> = s.net_blocks(wide).collect();
+        assert_eq!(blocks, vec![(28, 8), (29, 8), (30, 8), (31, 8), (32, 8)]);
+        for b in 0..s.block_count() {
+            let expect = blocks.iter().find(|&&(c, _)| c == b).map_or(0, |&(_, p)| p);
+            assert_eq!(s.net_pins_in(wide, b), expect);
+        }
+        assert_eq!(s.net_pins_from_to(wide, 28, 0), (8, 0));
+        assert_eq!(s.net_pins_from_to(wide, 30, 32), (8, 8));
+    }
+
+    #[test]
+    fn net_pins_from_to_matches_single_lookups() {
+        let g = sample();
+        // Spans 1, 2 and 3 (net e1 over blocks 0, 1, 2 in the last one).
+        for assignment in [vec![0, 0, 0, 0], vec![0, 0, 1, 1], vec![2, 0, 1, 1], vec![2, 0, 1, 2]] {
+            let s = PartitionState::from_assignment(&g, assignment, 3);
+            for e in g.net_ids() {
+                for &v in g.pins(e) {
+                    let from = s.block_of(v);
+                    for to in (0..3).filter(|&to| to != from) {
+                        let pair = (s.net_pins_in(e, from), s.net_pins_in(e, to));
+                        assert_eq!(s.net_pins_from_to(e, from, to), pair);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn state_bytes_do_not_depend_on_the_block_count() {
+        let g = wide_net();
+        let bytes = |k: usize| {
+            let s = PartitionState::from_assignment(&g, (0..40).map(|i| i % 2).collect(), k);
+            s.approx_bytes()
+        };
+        // Only the three per-block counters grow with k; the per-net and
+        // per-pin storage is the same at k = 2 and k = 512.
+        let per_block = (std::mem::size_of::<u64>() + 2 * std::mem::size_of::<usize>()) as u64;
+        assert_eq!(bytes(512) - 512 * per_block, bytes(2) - 2 * per_block);
+        // At most 12 B per pin, 4 B per node and 4 B per net beyond that.
+        let (nodes, nets, pins) = (g.node_count(), g.net_count(), g.pin_count());
+        let budget = 12 * pins + 4 * nodes + 4 * nets;
+        assert!(bytes(2) - 2 * per_block <= budget as u64, "{} > {budget}", bytes(2));
     }
 
     #[test]

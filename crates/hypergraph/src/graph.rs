@@ -162,10 +162,22 @@ impl Hypergraph {
     #[inline]
     #[must_use]
     pub fn pins(&self, net: NetId) -> &[NodeId] {
+        &self.net_pins[self.pin_range(net)]
+    }
+
+    /// Returns the slot a net's pins occupy in the flat pin array:
+    /// `pins(e)` is that range of it. Per-net side tables of at most one
+    /// entry per pin can share this layout instead of keeping their own
+    /// offsets.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `net` is out of range for this graph.
+    #[inline]
+    #[must_use]
+    pub fn pin_range(&self, net: NetId) -> std::ops::Range<usize> {
         let i = net.index();
-        let lo = self.net_pin_offsets[i] as usize;
-        let hi = self.net_pin_offsets[i + 1] as usize;
-        &self.net_pins[lo..hi]
+        self.net_pin_offsets[i] as usize..self.net_pin_offsets[i + 1] as usize
     }
 
     /// Returns the nets incident to an interior node.

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Local CI gate: formatting, lints, release build, tests, parser fuzz,
 # degradation smoke, kill-resume durability gate, quality-regression
-# gate, observability smoke, partition-server smoke, smoke bench.
+# gate, observability smoke, memory gate (Linux), partition-server
+# smoke, smoke bench.
 #
 # Usage: scripts/ci.sh [--skip-bench]
 #
@@ -165,6 +166,34 @@ for needle in "phase tree" "self-time coverage" "coarsen_level" \
 done
 grep -q '"ph": "X"' "$smoke_dir/trace.chrome.json" \
     || { echo "chrome trace has no complete events" >&2; exit 1; }
+
+if [ "$(uname -s)" = Linux ]; then
+    step "memory gate (peak RSS flat in the block count)"
+    # The partition state stores each net's per-block pin counts as a
+    # sparse run (8 B per pin), so a multilevel run's peak RSS must not
+    # grow with the number of devices. One 50k-cell Rent netlist is
+    # partitioned onto small devices (k ~ 126) and onto large ones
+    # (k ~ 8); the peak RSS (ru_maxrss from wait4, KiB on Linux) of the
+    # first may be at most 1.3x the second's. A dense nets x k matrix
+    # read about 3.5x here.
+    ./target/release/fpart gen rent --nodes 50000 --terminals 750 --seed 4 \
+        --output "$smoke_dir/rent50k.fhg"
+    python3 - ./target/release/fpart "$smoke_dir/rent50k.fhg" <<'EOF'
+import os, subprocess, sys
+fpart, netlist = sys.argv[1], sys.argv[2]
+def peak_mb(s_max, t_max):
+    argv = [fpart, "partition", netlist, "--multilevel", "--threads", "2",
+            "--s-max", str(s_max), "--t-max", str(t_max)]
+    proc = subprocess.Popen(argv, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0, f"{argv} failed"
+    return usage.ru_maxrss / 1024
+many, few = peak_mb(400, 120), peak_mb(6400, 1000)
+ratio = many / few
+print(f"memory gate: peak RSS {many:.1f} MB at k~126, {few:.1f} MB at k~8, ratio {ratio:.2f}")
+assert ratio <= 1.3, f"peak RSS grows with k: ratio {ratio:.2f} > 1.3"
+EOF
+fi
 
 step "partition server smoke (fpart serve over a Unix socket)"
 # A scripted client drives one full protocol session against a real

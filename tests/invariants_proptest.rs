@@ -10,7 +10,8 @@ use fpart_core::{
 use fpart_device::DeviceConstraints;
 use fpart_hypergraph::coarsen::coarsen_to_floor;
 use fpart_hypergraph::gen::{window_circuit, WindowConfig};
-use fpart_hypergraph::{Hypergraph, NodeId};
+use fpart_hypergraph::rng::StdRng;
+use fpart_hypergraph::{Hypergraph, HypergraphBuilder, NodeId};
 use proptest::prelude::*;
 
 /// Strategy: a small random hypergraph (connected enough to be
@@ -23,8 +24,72 @@ fn arb_graph() -> impl Strategy<Value = Hypergraph> {
     })
 }
 
+/// Strategy: a hypergraph of 80–400 cells with small nets plus one to
+/// four *wide* nets of 64–200 pins (the high-fanout regime, where a
+/// net's block run holds dozens of entries), and terminals on some nets.
+fn arb_wide_graph() -> impl Strategy<Value = Hypergraph> {
+    (80usize..400, 1usize..5, any::<u64>()).prop_map(|(nodes, wide, seed)| {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut b = HypergraphBuilder::new();
+        let cells: Vec<NodeId> =
+            (0..nodes).map(|i| b.add_node(format!("n{i}"), rng.gen_range(1..4u32))).collect();
+        let mut order = cells.clone();
+        for w in 0..wide {
+            rng.shuffle(&mut order);
+            let pins = rng.gen_range(64..nodes.min(200) + 1);
+            let net = b.add_net(format!("w{w}"), order[..pins].iter().copied()).unwrap();
+            if w % 2 == 0 {
+                b.add_terminal(format!("tw{w}"), net).unwrap();
+            }
+        }
+        for e in 0..nodes {
+            let pins = rng.gen_range(2..5usize);
+            let first = rng.gen_range(0..nodes - 4);
+            let net =
+                b.add_net(format!("e{e}"), cells[first..first + pins].iter().copied()).unwrap();
+            if e % 17 == 0 {
+                b.add_terminal(format!("t{e}"), net).unwrap();
+            }
+        }
+        b.finish().unwrap()
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The recount oracle at large, non-power-of-two block counts and on
+    /// high-fanout nets spread over many blocks, with `add_block`
+    /// interleaved with moves: `assert_consistent` compares every
+    /// counter and every net's block-sorted run against `recount()`.
+    #[test]
+    fn partition_state_consistent_at_large_k_and_high_fanout(
+        graph in arb_wide_graph(),
+        k in 3usize..300,
+        ops in proptest::collection::vec((0u32..20, any::<u32>(), any::<u32>()), 0..200),
+    ) {
+        let k = if k.is_power_of_two() { k + 1 } else { k };
+        let n = graph.node_count();
+        let assignment: Vec<u32> = (0..n).map(|i| (i * 7919 % k) as u32).collect();
+        let mut state = PartitionState::from_assignment(&graph, assignment, k);
+        state.assert_consistent();
+        for (i, (kind, node, block)) in ops.into_iter().enumerate() {
+            if kind == 0 {
+                let b = state.add_block();
+                prop_assert_eq!(b + 1, state.block_count());
+            } else {
+                // Targets favour the newest blocks half the time, so
+                // added blocks fill up while old ones drain.
+                let count = state.block_count();
+                let to = if kind % 2 == 0 { count - 1 - block as usize % count.min(4) } else { block as usize % count };
+                state.move_node(NodeId::from_index(node as usize % n), to);
+            }
+            if i % 16 == 15 {
+                state.assert_consistent();
+            }
+        }
+        state.assert_consistent();
+    }
 
     /// Incremental bookkeeping in `PartitionState` stays exactly
     /// consistent with a from-scratch recount under arbitrary move
