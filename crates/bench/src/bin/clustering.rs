@@ -4,7 +4,9 @@
 
 use fpart_bench::render_table;
 use fpart_bench::runner::Workload;
-use fpart_core::{partition, partition_multilevel, FpartConfig, MultilevelConfig};
+use fpart_core::{
+    partition, partition_multilevel_observed, FpartConfig, MultilevelConfig, Observer,
+};
 use fpart_device::Device;
 use fpart_hypergraph::gen::find_profile;
 
@@ -21,11 +23,12 @@ fn main() {
         let flat_t = start.elapsed();
 
         let start = std::time::Instant::now();
-        let ml = partition_multilevel(
+        let ml = partition_multilevel_observed(
             &workload.graph,
             workload.constraints,
             &FpartConfig::default(),
             &MultilevelConfig::default(),
+            &mut Observer::none(),
         );
         let ml_t = start.elapsed();
 

@@ -17,8 +17,8 @@ use std::fmt::Write as _;
 
 use fpart_core::cost::CostEvaluator;
 use fpart_core::{
-    partition, partition_multilevel, repartition_eco, EcoConfig, FpartConfig, MultilevelConfig,
-    PartitionOutcome, PartitionState,
+    partition, partition_multilevel_observed, repartition_eco_observed, EcoConfig, FpartConfig,
+    MultilevelConfig, Observer, PartitionOutcome, PartitionState,
 };
 use fpart_device::{lower_bound, DeviceConstraints};
 use fpart_hypergraph::gen::{
@@ -55,7 +55,8 @@ fn main() {
         }
         rows.push(row(graph, *constraints, &config, "flat", &flat));
         let nlevel =
-            partition_multilevel(graph, *constraints, &config, &ml).expect("multilevel partitions");
+            partition_multilevel_observed(graph, *constraints, &config, &ml, &mut Observer::none())
+                .expect("multilevel partitions");
         rows.push(row(graph, *constraints, &config, "multilevel", &nlevel));
         println!(
             "{}: flat {} devices cut {}, multilevel {} devices cut {}",
@@ -75,13 +76,14 @@ fn main() {
     let previous = rent_previous.expect("rent row ran");
     let script = pinned_edit(rent);
     let applied = apply_script(rent, &script).expect("pinned edit applies");
-    let eco = repartition_eco(
+    let eco = repartition_eco_observed(
         &applied.graph,
         *rent_constraints,
         &config,
         &EcoConfig::default(),
         &previous,
         &applied.node_map,
+        &mut Observer::none(),
     )
     .expect("eco repairs");
     rows.push(row(&applied.graph, *rent_constraints, &config, "eco", &eco.outcome));

@@ -13,12 +13,12 @@
 //!    percentage is the single-thread pass-component gain attributable
 //!    to incremental key maintenance.
 //! 3. **Thread sweep** — wall time of multi-run `bipartition_fm` and of
-//!    driver-level `partition_restarts` at 1/2/4/8 threads. Results are
+//!    a four-restart flat `run` at 1/2/4/8 threads. Results are
 //!    bit-identical across the sweep (asserted); only wall time varies.
 //!    `available_parallelism` is recorded because speedup is bounded by
 //!    the machine: a single-core container shows ~1.0×.
 //! 4. **Engine counters** — the internal `Metrics` registry of one
-//!    observed `partition_restarts` search (passes, applied/reverted
+//!    observed flat restart search (passes, applied/reverted
 //!    moves, gain-bucket pops, key evaluations, per-`ImproveKind` wall
 //!    time), plus the metered-vs-unmetered wall-time ratio, so the
 //!    "zero overhead when disabled" claim stays measurable over time.
@@ -35,7 +35,7 @@
 //! 7. **ECO repair** — a capacity-balanced ~1% churn edit script (remove
 //!    cells, add equal-size replacements wired to surviving neighbours)
 //!    applied to the 20k-node Rent circuit: wall time of
-//!    `repartition_eco` carrying the pre-edit partition vs a from-scratch
+//!    an ECO `run` carrying the pre-edit partition vs a from-scratch
 //!    multilevel run on the edited graph, plus both quality keys.
 //!    `quality_comparable` holds devices strict and every scalar
 //!    component within 5%.
@@ -92,13 +92,51 @@ use fpart_core::cost::CostEvaluator;
 use fpart_core::fm::{bipartition_fm, FmConfig};
 use fpart_core::server::protocol;
 use fpart_core::{
-    improve, partition_multilevel_observed, partition_restarts, partition_restarts_observed,
-    Counter, FaultPlan, FpartConfig, ImproveContext, Json, KeyTracker, Metrics, MultilevelConfig,
-    Observer, PartitionState, RunBudget, Server, ServerConfig, SpanKind,
+    improve, partition_multilevel_observed, run, Counter, FaultPlan, FpartConfig, ImproveContext,
+    Json, KeyTracker, Metrics, MultilevelConfig, Observer, PartitionError, PartitionOutcome,
+    PartitionState, RestartsReport, RunBudget, RunMethod, RunSpec, Server, ServerConfig, SpanKind,
 };
 use fpart_device::{Device, DeviceConstraints};
 use fpart_hypergraph::gen::{find_profile, rent_circuit, synthesize_mcnc, RentConfig, Technology};
-use fpart_hypergraph::NodeId;
+use fpart_hypergraph::{Hypergraph, NodeId};
+
+/// `restarts` runs of `method` over `threads` workers, recorded into a
+/// metrics registry when `metered`.
+fn search(
+    graph: &Hypergraph,
+    constraints: DeviceConstraints,
+    method: RunMethod<'_>,
+    config: &FpartConfig,
+    (restarts, threads): (usize, usize),
+    metered: bool,
+) -> Result<RestartsReport, PartitionError> {
+    let spec = RunSpec { restarts, threads, ..RunSpec::new(method, config.clone()) };
+    let metrics = if metered { Metrics::enabled() } else { Metrics::disabled() };
+    run(graph, constraints, &spec, &mut Observer::new(metrics, None))
+}
+
+/// `restarts` unobserved flat runs over `threads` workers.
+fn flat(
+    graph: &Hypergraph,
+    constraints: DeviceConstraints,
+    config: &FpartConfig,
+    restarts: usize,
+    threads: usize,
+) -> Result<PartitionOutcome, PartitionError> {
+    search(graph, constraints, RunMethod::Flat, config, (restarts, threads), false)
+        .map(|report| report.outcome)
+}
+
+/// One unobserved multilevel run with `ml.threads` workers.
+fn multilevel(
+    graph: &Hypergraph,
+    constraints: DeviceConstraints,
+    config: &FpartConfig,
+    ml: &MultilevelConfig,
+) -> Result<PartitionOutcome, PartitionError> {
+    let method = RunMethod::Multilevel(ml.clone());
+    search(graph, constraints, method, config, (1, ml.threads), false).map(|report| report.outcome)
+}
 
 fn main() {
     let out_path = std::env::args().nth(1).unwrap_or_else(|| "BENCH_pr10.json".to_owned());
@@ -248,7 +286,7 @@ fn main() {
         assert_eq!(*reference_cut.get_or_insert(bp.cut), bp.cut, "thread sweep diverged");
 
         let start = Instant::now();
-        let outcome = partition_restarts(
+        let outcome = flat(
             &graph,
             DeviceConstraints::new(constraints.s_max, constraints.t_max),
             &config,
@@ -259,7 +297,7 @@ fn main() {
         let devices = outcome.map_or(0, |o| o.device_count);
         println!(
             "threads={threads}: bipartition_fm(runs=8) {bp_secs:.3}s, \
-             partition_restarts(4) {restart_secs:.3}s ({devices} devices)"
+             flat restarts(4) {restart_secs:.3}s ({devices} devices)"
         );
         sweep.push(format!(
             "    {{\"threads\": {threads}, \"bipartition_runs8_seconds\": {bp_secs:.4}, \
@@ -283,19 +321,19 @@ fn main() {
     let mut unmetered_secs = f64::INFINITY;
     let mut metered_secs = f64::INFINITY;
     let mut pair_ratios = Vec::with_capacity(metering_reps);
-    let unmetered = partition_restarts(&graph, constraints, &config, 2, 1).expect("partitions");
+    let unmetered = flat(&graph, constraints, &config, 2, 1).expect("partitions");
     let report =
-        partition_restarts_observed(&graph, constraints, &config, 2, 1).expect("partitions");
+        search(&graph, constraints, RunMethod::Flat, &config, (2, 1), true).expect("partitions");
     for _ in 0..metering_reps {
         let start = Instant::now();
-        let run = partition_restarts(&graph, constraints, &config, 2, 1).expect("partitions");
+        let run = flat(&graph, constraints, &config, 2, 1).expect("partitions");
         let u = start.elapsed().as_secs_f64();
         unmetered_secs = unmetered_secs.min(u);
         assert_eq!(run.assignment, unmetered.assignment, "unmetered rep diverged");
 
         let start = Instant::now();
-        let run =
-            partition_restarts_observed(&graph, constraints, &config, 2, 1).expect("partitions");
+        let run = search(&graph, constraints, RunMethod::Flat, &config, (2, 1), true)
+            .expect("partitions");
         let m = start.elapsed().as_secs_f64();
         metered_secs = metered_secs.min(m);
         assert_eq!(run.outcome.assignment, report.outcome.assignment, "metered rep diverged");
@@ -327,8 +365,7 @@ fn main() {
         budget: RunBudget { max_passes: Some(u64::MAX), ..RunBudget::default() },
         ..FpartConfig::default()
     };
-    let budgeted =
-        partition_restarts(&graph, constraints, &unlimited_budget, 2, 1).expect("partitions");
+    let budgeted = flat(&graph, constraints, &unlimited_budget, 2, 1).expect("partitions");
     let budgeted_secs = start.elapsed().as_secs_f64();
     assert_eq!(budgeted.assignment, unmetered.assignment, "budget checks changed the result");
     let budget_overhead_pct = (budgeted_secs / unmetered_secs - 1.0) * 100.0;
@@ -341,8 +378,9 @@ fn main() {
         ..FpartConfig::default()
     };
     let start = Instant::now();
-    let deadline_report = partition_restarts_observed(&graph, constraints, &deadline_config, 2, 1)
-        .expect("degrades instead of failing");
+    let deadline_report =
+        search(&graph, constraints, RunMethod::Flat, &deadline_config, (2, 1), true)
+            .expect("degrades instead of failing");
     let deadline_secs = start.elapsed().as_secs_f64();
 
     std::panic::set_hook(Box::new(|_| {})); // injected panic below is expected
@@ -350,7 +388,7 @@ fn main() {
         fault_plan: Some(FaultPlan::panic_at(1, "smoke fault").for_only_restart(0)),
         ..FpartConfig::default()
     };
-    let fault_report = partition_restarts_observed(&graph, constraints, &fault_config, 2, 1)
+    let fault_report = search(&graph, constraints, RunMethod::Flat, &fault_config, (2, 1), true)
         .expect("survivor wins");
     let _ = std::panic::take_hook();
 
@@ -502,21 +540,19 @@ fn main() {
     let applied = fpart_hypergraph::apply_script(&rent, &script).expect("edit applies");
 
     let start = Instant::now();
-    let eco_run = fpart_core::repartition_eco(
-        &applied.graph,
-        rent_constraints,
-        &config,
-        &fpart_core::EcoConfig::default(),
-        &nlevel.assignment,
-        &applied.node_map,
-    )
-    .expect("eco repairs");
+    let method = RunMethod::Eco {
+        eco: fpart_core::EcoConfig::default(),
+        previous: &nlevel.assignment,
+        node_map: &applied.node_map,
+    };
+    let eco_run = search(&applied.graph, rent_constraints, method, &config, (1, 1), false)
+        .expect("eco repairs");
+    let eco_summary = eco_run.eco.expect("an ECO run reports its repair");
     let eco_secs = start.elapsed().as_secs_f64();
 
     let start = Instant::now();
-    let scratch =
-        fpart_core::partition_multilevel(&applied.graph, rent_constraints, &config, &ml_config)
-            .expect("from-scratch partitions");
+    let scratch = multilevel(&applied.graph, rent_constraints, &config, &ml_config)
+        .expect("from-scratch partitions");
     let scratch_secs = start.elapsed().as_secs_f64();
 
     let eco_speedup = scratch_secs / eco_secs.max(1e-9);
@@ -527,10 +563,10 @@ fn main() {
         "eco: {edits} edits (churn {:.4}), repair {eco_secs:.3}s \
          ({} devices, cut {}, repaired={}), from-scratch {scratch_secs:.3}s \
          ({} devices, cut {}) => {eco_speedup:.1}x, quality_comparable={eco_comparable}",
-        eco_run.churn,
+        eco_summary.churn,
         eco_run.outcome.device_count,
         eco_run.outcome.cut,
-        eco_run.repaired,
+        eco_summary.repaired,
         scratch.device_count,
         scratch.cut
     );
@@ -541,9 +577,9 @@ fn main() {
          \"repair_seconds\": {eco_secs:.4}, \"scratch_seconds\": {scratch_secs:.4}, \
          \"speedup\": {eco_speedup:.2}, \"eco_feasible\": {}, \
          \"quality_comparable\": {eco_comparable}, \"repair\": {}, \"scratch\": {}}},",
-        eco_run.churn,
-        eco_run.repaired,
-        eco_run.dirty_blocks,
+        eco_summary.churn,
+        eco_summary.repaired,
+        eco_summary.dirty_blocks,
         eco_run.outcome.feasible,
         key_json(&eco_key),
         key_json(&scratch_key)
@@ -567,7 +603,7 @@ fn main() {
         let mut run = None;
         for _ in 0..reps {
             let start = Instant::now();
-            let outcome = fpart_core::partition_multilevel(&rent, rent_constraints, &config, &ml)
+            let outcome = multilevel(&rent, rent_constraints, &config, &ml)
                 .expect("parallel multilevel partitions");
             secs = secs.min(start.elapsed().as_secs_f64());
             run = Some(outcome);
@@ -614,7 +650,7 @@ fn main() {
     };
     let big_ml = MultilevelConfig { threads: cores.min(4), ..MultilevelConfig::default() };
     let start = Instant::now();
-    let big_run = fpart_core::partition_multilevel(&big, rent_constraints, &capped, &big_ml)
+    let big_run = multilevel(&big, rent_constraints, &capped, &big_ml)
         .expect("large budgeted run produces a solution");
     let big_secs = start.elapsed().as_secs_f64();
     println!(
@@ -650,27 +686,17 @@ fn main() {
     let ckpt_path =
         std::env::temp_dir().join(format!("fpart-smoke-durability-{}.ckpt", std::process::id()));
     let durable_restarts = 3;
-    let fp = fpart_core::fingerprint_run(
-        &rent,
-        rent_constraints,
-        &config,
-        Some(&ml_config),
-        durable_restarts,
-    );
     let run_durable = |writer: Option<&fpart_core::CheckpointWriter>,
                        resume: Option<&fpart_core::Checkpoint>| {
-        fpart_core::partition_restarts_durable(
-            &rent,
-            rent_constraints,
-            &config,
-            Some(&ml_config),
-            durable_restarts,
-            1,
-            fp,
+        let spec = RunSpec {
+            restarts: durable_restarts,
+            threads: 1,
             resume,
             writer,
-        )
-        .expect("durable search succeeds")
+            ..RunSpec::new(RunMethod::Multilevel(ml_config.clone()), config.clone())
+        };
+        run(&rent, rent_constraints, &spec, &mut Observer::new(Metrics::enabled(), None))
+            .expect("durable search succeeds")
     };
     // The CLI's default throttle (1s): on a single-core machine every
     // serialized write competes with the search for the one CPU, so the
@@ -871,16 +897,11 @@ fn main() {
     let memo_restarts = 2;
     let run_memo = |graph: &fpart_hypergraph::Hypergraph,
                     store: Option<std::sync::Arc<fpart_core::MemoStore>>| {
-        let ml = MultilevelConfig { memo: store, ..MultilevelConfig::default() };
-        fpart_core::partition_multilevel_restarts(
-            graph,
-            rent_constraints,
-            &config,
-            &ml,
-            memo_restarts,
-            1,
-        )
-        .expect("memo bench run succeeds")
+        let method =
+            RunMethod::Multilevel(MultilevelConfig { memo: store, ..MultilevelConfig::default() });
+        search(graph, rent_constraints, method, &config, (memo_restarts, 1), false)
+            .expect("memo bench run succeeds")
+            .outcome
     };
     let memo_baseline = run_memo(&rent, None);
     let memo_reps = 7;

@@ -6,8 +6,9 @@ use std::io::Write as _;
 
 use fpart_baselines::{fbb_mw_partition, first_fit_partition, kway_partition, FlowConfig};
 use fpart_core::{
-    partition_observed, CancelToken, Completion, Counter, EventSink, FailedRestart, FanoutSink,
-    FpartConfig, JsonlSink, Metrics, Observer, QualityReport, RunBudget, Trace, TraceEvent,
+    CancelToken, Completion, Counter, EventSink, FailedRestart, FanoutSink, FpartConfig, JsonlSink,
+    Metrics, Observer, QualityReport, RestartsReport, RunBudget, RunMethod, RunSpec, Trace,
+    TraceEvent,
 };
 use fpart_device::{lower_bound, Device, DeviceConstraints};
 use fpart_hypergraph::gen::{
@@ -61,26 +62,8 @@ pub fn partition(raw: &[String]) -> Result<(), CliError> {
 
     let constraints = resolve_constraints(&args).map_err(CliError::Usage)?;
     let method = args.option("method").unwrap_or("fpart");
-    let restarts: usize = args.option_parsed("restarts", 1).map_err(CliError::Usage)?;
-    // Default from `FPART_THREADS` when set: results are bit-identical
-    // at every thread count, so the environment can only change wall
-    // time (CI runs its thread matrix through this).
-    let threads: usize = args
-        .option_parsed("threads", fpart_core::parallel::default_threads())
-        .map_err(CliError::Usage)?;
-    let deadline_ms: Option<u64> = args
-        .option("deadline-ms")
-        .map(|v| v.parse().map_err(|_| format!("option --deadline-ms: cannot parse `{v}`")))
-        .transpose()
-        .map_err(CliError::Usage)?;
-    let max_passes: Option<u64> = args
-        .option("max-passes")
-        .map(|v| v.parse().map_err(|_| format!("option --max-passes: cannot parse `{v}`")))
-        .transpose()
-        .map_err(CliError::Usage)?;
-    if restarts == 0 || threads == 0 {
-        return Err(CliError::Usage("--restarts and --threads must be at least 1".into()));
-    }
+    let (restarts, threads) = resolve_search(&args)?;
+    let budget = resolve_budget(&args)?;
     // `--multilevel` selects the n-level V-cycle; it shares the FPART
     // engine, so restarts/threads/budget/metrics all apply to it too.
     let multilevel = args.switch("multilevel") || method == "multilevel";
@@ -97,7 +80,7 @@ pub fn partition(raw: &[String]) -> Result<(), CliError> {
             "--restarts/--threads only apply to --method fpart/multilevel".into(),
         ));
     }
-    if (deadline_ms.is_some() || max_passes.is_some()) && !engine_method {
+    if (budget.deadline.is_some() || budget.max_passes.is_some()) && !engine_method {
         return Err(CliError::Usage(
             "--deadline-ms/--max-passes only apply to --method fpart/multilevel".into(),
         ));
@@ -166,27 +149,19 @@ pub fn partition(raw: &[String]) -> Result<(), CliError> {
         graph.terminal_count()
     );
 
-    // Budget: SIGINT/SIGTERM always cancel cooperatively; deadline and
-    // pass caps only when requested. The handler lets the run stop at
-    // the next pass/peel boundary and still flush its best result (and
-    // any final checkpoint).
+    // The handler lets the run stop at the next pass/peel boundary and
+    // still flush its best result (and any final checkpoint).
     crate::install_signal_handlers();
-    let budget = RunBudget {
-        deadline: deadline_ms.map(std::time::Duration::from_millis),
-        max_passes,
-        max_moves: None,
-        cancel: Some(CancelToken::from_static(&crate::INTERRUPTED)),
-    };
 
     let started = std::time::Instant::now();
     let mut completion = Completion::Complete;
     let method = if multilevel { "multilevel" } else { method };
     let (assignment, device_count, feasible, cut) = match method {
-        "fpart" => {
-            let outcome = run_fpart(&graph, constraints, &args, restarts, threads, budget)?;
-            if args.switch("trace") {
-                print_trace(&outcome.trace);
-            }
+        "fpart" | "multilevel" => {
+            let engine = partition_engine(&args, multilevel, restarts)?;
+            let config = FpartConfig { budget, ..FpartConfig::default() };
+            let spec = RunSpec { restarts, threads, ..RunSpec::new(engine, config) };
+            let outcome = run_engine(&graph, constraints, &args, spec, 0)?.outcome;
             completion = outcome.completion;
             println!("{}", QualityReport::new(&outcome, constraints));
             (outcome.assignment, outcome.device_count, outcome.feasible, outcome.cut)
@@ -204,12 +179,6 @@ pub fn partition(raw: &[String]) -> Result<(), CliError> {
         "naive" => {
             let o = first_fit_partition(&graph, constraints);
             (o.assignment, o.device_count, o.feasible, o.cut)
-        }
-        "multilevel" => {
-            let outcome = run_multilevel(&graph, constraints, &args, restarts, threads, budget)?;
-            completion = outcome.completion;
-            println!("{}", QualityReport::new(&outcome, constraints));
-            (outcome.assignment, outcome.device_count, outcome.feasible, outcome.cut)
         }
         "direct" => {
             let o = fpart_core::partition_direct(
@@ -238,17 +207,7 @@ pub fn partition(raw: &[String]) -> Result<(), CliError> {
         println!("{}", fpart_core::InterconnectReport::new(&graph, &assignment, device_count));
     }
 
-    if let Some(output) = args.option("output") {
-        let mut file = fpart_core::AtomicFile::create(Path::new(output))
-            .map_err(|e| CliError::Runtime(format!("cannot create {output}: {e}")))?;
-        fpart_core::write_assignment(&mut file, &graph, &assignment)
-            .map_err(|e| CliError::Runtime(format!("cannot write {output}: {e}")))?;
-        file.commit().map_err(|e| CliError::Runtime(format!("cannot write {output}: {e}")))?;
-        eprintln!("assignment written to {output}");
-    }
-    if let Some(path) = args.option("write-assignment") {
-        write_versioned_assignment(path, &graph, &assignment, device_count)?;
-    }
+    write_outputs(&args, &graph, &assignment, device_count)?;
     if completion == Completion::Cancelled || crate::interrupted() {
         // Results (and any --output/--metrics files) are complete; the
         // distinct exit code (130 SIGINT / 143 SIGTERM) tells scripts
@@ -261,162 +220,116 @@ pub fn partition(raw: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Runs `--method fpart` with whatever observability the flags request:
-/// `--trace` (in-memory trace, printed afterwards), `--trace-json FILE`
-/// (streamed JSON Lines), `--metrics FILE` (aggregated counter/timing
-/// registry), `--trace-chrome FILE` (span profile as a Chrome trace
-/// array), `--progress` (throttled heartbeat lines on stderr). All
-/// combinations share the same engine entry points, so the partition
-/// itself is bit-identical whichever flags are given.
+/// The engine `--method fpart` / `--multilevel` runs, checking the
+/// flags only one of them accepts. `--multilevel` coarsens to
+/// `--coarsen-floor`, runs FPART on the coarsest hypergraph, and refines
+/// the boundary at every uncoarsening level; its per-pass event traces
+/// are not available.
+fn partition_engine(
+    args: &Args,
+    multilevel: bool,
+    restarts: usize,
+) -> Result<RunMethod<'static>, CliError> {
+    let events = args.switch("trace") || args.option("trace-json").is_some();
+    if !multilevel {
+        if (events || args.switch("progress")) && restarts > 1 {
+            return Err(CliError::Usage(
+                "--trace/--trace-json/--progress need --restarts 1 (traces are per-run)".into(),
+            ));
+        }
+        return Ok(RunMethod::Flat);
+    }
+    if events {
+        return Err(CliError::Usage(
+            "--trace/--trace-json are not available with --multilevel".into(),
+        ));
+    }
+    let coarsen_floor: usize = args.option_parsed("coarsen-floor", 256).map_err(CliError::Usage)?;
+    if coarsen_floor < 2 {
+        return Err(CliError::Usage("--coarsen-floor must be at least 2".into()));
+    }
+    // `--max-memory-mb` caps the estimated bytes held by the coarsening
+    // hierarchy: coarsening stops early and the run completes
+    // `degraded` instead of exhausting memory.
+    let max_memory_mb: Option<u64> = args
+        .option("max-memory-mb")
+        .map(|v| v.parse().map_err(|_| format!("option --max-memory-mb: cannot parse `{v}`")))
+        .transpose()
+        .map_err(CliError::Usage)?;
+    let memory = max_memory_mb.map_or_else(fpart_core::MemoryBudget::default, |mb| {
+        fpart_core::MemoryBudget::capped(mb.saturating_mul(1024 * 1024))
+    });
+    // `--cache` wires a fingerprint-keyed memo store into the run.
+    // Within one process it lets identical restarts share coarsening
+    // work; results are bit-identical with or without it. (The server
+    // is where the store pays off across requests — it defaults on
+    // there.)
+    let memo = args.switch("cache").then(fpart_core::MemoStore::shared);
+    Ok(RunMethod::Multilevel(fpart_core::MultilevelConfig {
+        coarsen_floor,
+        memory,
+        memo,
+        ..fpart_core::MultilevelConfig::default()
+    }))
+}
+
+/// Runs `spec` through [`fpart_core::run`] with whatever observability
+/// the flags request: `--trace` (in-memory trace, printed afterwards),
+/// `--trace-json FILE` (streamed JSON Lines), `--metrics FILE`
+/// (aggregated counter/timing registry), `--trace-chrome FILE` (span
+/// profile as a Chrome trace array), `--progress` (throttled heartbeat
+/// lines on stderr). The flags only choose what is recorded, so the
+/// partition itself is bit-identical whichever are given.
+///
+/// `--checkpoint` / `--resume` make the restart search durable. The run
+/// is fingerprinted (netlist structure, device, configuration, restart
+/// count) so a resume snapshot from a *different* run is rejected up
+/// front. `--resume` restores completed restarts from the checkpoint
+/// and runs only the missing indices; `--checkpoint` streams snapshots
+/// to a dedicated writer thread (atomic temp-file + rename, throttled by
+/// `--checkpoint-interval-ms`). The merged result is bit-identical to an
+/// uninterrupted run at any thread count.
+///
+/// `edits_applied` is the length of the edit script `fpart eco` applied
+/// before the run; like the checkpoint writes, it is booked on restart
+/// 0 so the metrics totals stay the per-restart sums.
 #[allow(clippy::too_many_lines)]
-fn run_fpart(
+fn run_engine(
     graph: &Hypergraph,
     constraints: DeviceConstraints,
     args: &Args,
-    restarts: usize,
-    threads: usize,
-    budget: RunBudget,
-) -> Result<fpart_core::PartitionOutcome, CliError> {
-    let config = FpartConfig { budget, ..FpartConfig::default() };
+    spec: RunSpec<'_>,
+    edits_applied: usize,
+) -> Result<RestartsReport, CliError> {
     let metrics_path = args.option("metrics");
     let trace_json_path = args.option("trace-json");
     let chrome_path = args.option("trace-chrome");
     let progress = args.switch("progress");
-    let want_events = args.switch("trace") || trace_json_path.is_some() || progress;
-    if want_events && restarts > 1 {
-        return Err(CliError::Usage(
-            "--trace/--trace-json/--progress need --restarts 1 (traces are per-run)".into(),
-        ));
-    }
     // Spans ride in the metrics registry, so a chrome trace needs
-    // metered runs even when no --metrics file was asked for.
-    let want_metrics = metrics_path.is_some() || chrome_path.is_some();
+    // metered runs even when no --metrics file was asked for;
+    // heartbeats report the pass counter; a checkpoint banks each
+    // restart's counters.
+    let metered = metrics_path.is_some()
+        || chrome_path.is_some()
+        || progress
+        || args.option("checkpoint").is_some();
     let started = std::time::Instant::now();
 
-    // The aggregate written to --metrics: totals plus per-restart parts,
-    // the search's completion status, and restarts lost to panics.
-    let mut aggregate: Option<(Metrics, Vec<Metrics>, Completion, Vec<FailedRestart>)> = None;
-
-    let durable = args.option("checkpoint").is_some() || args.option("resume").is_some();
-    let outcome = if durable {
-        let report = run_durable(graph, constraints, &config, None, args, restarts, threads)?;
-        let outcome = report.outcome;
-        if want_metrics {
-            aggregate = Some((report.totals, report.per_restart, report.completion, report.failed));
-        }
-        outcome
-    } else if want_events {
-        // Single observed run with the requested event sinks fanned out.
-        let mut trace = Trace::enabled();
-        let mut jsonl = match trace_json_path {
-            Some(path) => Some(JsonlSink::new(EventOut::open(path)?)),
-            None => None,
-        };
-        let mut progress_sink = progress.then_some(ProgressPrinter);
-        let result = {
-            let mut sinks: Vec<&mut dyn EventSink> = vec![&mut trace];
-            if let Some(sink) = jsonl.as_mut() {
-                sinks.push(sink);
-            }
-            if let Some(sink) = progress_sink.as_mut() {
-                sinks.push(sink);
-            }
-            let mut fanout = FanoutSink::new(sinks);
-            // Heartbeats report the pass counter, so --progress needs a
-            // live registry even when no metrics output was requested.
-            let metrics =
-                if want_metrics || progress { Metrics::enabled() } else { Metrics::disabled() };
-            let mut obs = Observer::new(metrics, Some(&mut fanout));
-            if progress {
-                obs.heartbeat = fpart_core::Heartbeat::every(PROGRESS_INTERVAL);
-            }
-            let result = partition_observed(graph, constraints, &config, &mut obs);
-            result.map(|outcome| (outcome, obs.metrics.clone()))
-        };
-        let (mut outcome, mut metrics) = result.map_err(|e| CliError::Runtime(e.to_string()))?;
-        if let Some(sink) = jsonl {
-            let path = trace_json_path.expect("jsonl implies a path");
-            let lines = sink.lines();
-            sink.into_inner()
-                .finish()
-                .map_err(|e| CliError::Runtime(format!("cannot write {path}: {e}")))?;
-            eprintln!("trace: {lines} events written to {}", dest_name(path));
-        }
-        if want_metrics {
-            // Mirror partition_restarts_observed's per-restart shape for
-            // a single run, Runs count included.
-            metrics.bump(Counter::Runs);
-            aggregate = Some((metrics.clone(), vec![metrics], outcome.completion, Vec::new()));
-        }
-        outcome.trace = trace;
-        outcome
-    } else if want_metrics {
-        let report =
-            fpart_core::partition_restarts_observed(graph, constraints, &config, restarts, threads)
-                .map_err(|e| CliError::Runtime(e.to_string()))?;
-        aggregate = Some((report.totals, report.per_restart, report.completion, report.failed));
-        report.outcome
-    } else if restarts > 1 {
-        fpart_core::partition_restarts(graph, constraints, &config, restarts, threads)
-            .map_err(|e| CliError::Runtime(e.to_string()))?
-    } else {
-        fpart_core::partition(graph, constraints, &config)
-            .map_err(|e| CliError::Runtime(e.to_string()))?
-    };
-
-    if want_metrics {
-        let (totals, per_restart, completion, failed) =
-            aggregate.expect("metrics aggregate recorded above");
-        if let Some(path) = metrics_path {
-            let quality = QualityReport::new(&outcome, constraints);
-            write_metrics_file(
-                path,
-                restarts,
-                threads,
-                started.elapsed(),
-                &totals,
-                &per_restart,
-                completion,
-                &failed,
-                &quality,
-            )
-            .map_err(CliError::Runtime)?;
-            eprintln!("metrics written to {}", dest_name(path));
-        }
-        if let Some(path) = chrome_path {
-            write_chrome_trace(path, &totals)?;
-        }
-    }
-    Ok(outcome)
-}
-
-/// Runs the restart search durably (`--checkpoint` / `--resume`).
-///
-/// The run is fingerprinted (netlist structure, device, configuration,
-/// restart count) so a resume snapshot from a *different* run is
-/// rejected up front. `--resume` restores completed restarts from the
-/// checkpoint and runs only the missing indices; `--checkpoint` streams
-/// snapshots to a dedicated writer thread (atomic temp-file + rename,
-/// throttled by `--checkpoint-interval-ms`). The merged result is
-/// bit-identical to an uninterrupted run at any thread count.
-fn run_durable(
-    graph: &Hypergraph,
-    constraints: DeviceConstraints,
-    config: &FpartConfig,
-    ml: Option<&fpart_core::MultilevelConfig>,
-    args: &Args,
-    restarts: usize,
-    threads: usize,
-) -> Result<fpart_core::RestartsReport, CliError> {
-    let fingerprint = fpart_core::fingerprint_run(graph, constraints, config, ml, restarts);
     let resume = match args.option("resume") {
         Some(path) => {
+            let ml = match &spec.method {
+                RunMethod::Multilevel(ml) => Some(ml),
+                _ => None,
+            };
+            let fingerprint =
+                fpart_core::fingerprint_run(graph, constraints, &spec.config, ml, spec.restarts);
             let checkpoint = fpart_core::read_checkpoint(Path::new(path))
                 .map_err(|e| CliError::Input(format!("{path}: {e}")))?;
             checkpoint.verify(fingerprint).map_err(|e| CliError::Input(format!("{path}: {e}")))?;
             eprintln!(
-                "resume: {} of {restarts} restarts restored from {path}",
-                checkpoint.completed.len()
+                "resume: {} of {} restarts restored from {path}",
+                checkpoint.completed.len(),
+                spec.restarts
             );
             Some(checkpoint)
         }
@@ -430,32 +343,90 @@ fn run_durable(
             std::time::Duration::from_millis(interval),
         )
     });
-    let mut report = fpart_core::partition_restarts_durable(
-        graph,
-        constraints,
-        config,
-        ml,
-        restarts,
-        threads,
-        fingerprint,
-        resume.as_ref(),
-        writer.as_ref(),
-    )
-    .map_err(|e| CliError::Runtime(e.to_string()))?;
+    let (restarts, threads) = (spec.restarts, spec.threads);
+    let spec = RunSpec { resume: resume.as_ref(), writer: writer.as_ref(), ..spec };
+
+    // The requested event sinks, fanned out.
+    let mut trace = args.switch("trace").then(Trace::enabled);
+    let mut jsonl = match trace_json_path {
+        Some(path) => Some(JsonlSink::new(EventOut::open(path)?)),
+        None => None,
+    };
+    let mut progress_sink = progress.then_some(ProgressPrinter);
+    let result = {
+        let mut sinks: Vec<&mut dyn EventSink> = Vec::new();
+        if let Some(sink) = trace.as_mut() {
+            sinks.push(sink);
+        }
+        if let Some(sink) = jsonl.as_mut() {
+            sinks.push(sink);
+        }
+        if let Some(sink) = progress_sink.as_mut() {
+            sinks.push(sink);
+        }
+        let has_sinks = !sinks.is_empty();
+        let mut fanout = FanoutSink::new(sinks);
+        let metrics = if metered { Metrics::enabled() } else { Metrics::disabled() };
+        let mut obs =
+            Observer::new(metrics, has_sinks.then_some(&mut fanout as &mut dyn EventSink));
+        if progress {
+            obs.heartbeat = fpart_core::Heartbeat::every(PROGRESS_INTERVAL);
+        }
+        fpart_core::run(graph, constraints, &spec, &mut obs)
+    };
+    let mut report = result.map_err(|e| CliError::Runtime(e.to_string()))?;
+    if let Some(sink) = jsonl {
+        let path = trace_json_path.expect("jsonl implies a path");
+        let lines = sink.lines();
+        sink.into_inner()
+            .finish()
+            .map_err(|e| CliError::Runtime(format!("cannot write {path}: {e}")))?;
+        eprintln!("trace: {lines} events written to {}", dest_name(path));
+    }
     if let Some(writer) = writer {
         let path = writer.path().display().to_string();
         let writes = writer
             .finish()
             .map_err(|e| CliError::Runtime(format!("cannot write checkpoint {path}: {e}")))?;
-        // The writer thread sits outside the restart fan-out; book its
-        // writes on restart 0 so totals stay the per-restart sum.
-        report.totals.add(Counter::CheckpointsWritten, writes);
-        if let Some(first) = report.per_restart.first_mut() {
-            first.add(Counter::CheckpointsWritten, writes);
-        }
+        // The writer thread sits outside the restart fan-out.
+        book_on_first_restart(&mut report, Counter::CheckpointsWritten, writes);
         eprintln!("checkpoint: {writes} snapshots written to {path}");
     }
+    // The script was applied once, before the restart fan-out.
+    book_on_first_restart(&mut report, Counter::EcoEditsApplied, edits_applied as u64);
+
+    if let Some(path) = metrics_path {
+        let quality = QualityReport::new(&report.outcome, constraints);
+        write_metrics_file(
+            path,
+            restarts,
+            threads,
+            started.elapsed(),
+            &report.totals,
+            &report.per_restart,
+            report.completion,
+            &report.failed,
+            &quality,
+        )
+        .map_err(CliError::Runtime)?;
+        eprintln!("metrics written to {}", dest_name(path));
+    }
+    if let Some(path) = chrome_path {
+        write_chrome_trace(path, &report.totals)?;
+    }
+    if let Some(trace) = &trace {
+        print_trace(trace);
+    }
     Ok(report)
+}
+
+/// Adds work done outside the restart fan-out to restart 0's registry
+/// and to the totals, so the totals stay the per-restart sums.
+fn book_on_first_restart(report: &mut RestartsReport, counter: Counter, n: u64) {
+    report.totals.add(counter, n);
+    if let Some(first) = report.per_restart.first_mut() {
+        first.add(counter, n);
+    }
 }
 
 /// Heartbeat throttle for `--progress`: at most one line per interval.
@@ -569,145 +540,6 @@ impl EventSink for ProgressPrinter {
     }
 }
 
-/// Runs the n-level multilevel mode (`--multilevel` /
-/// `--method multilevel`): coarsen to `--coarsen-floor`, FPART on the
-/// coarsest hypergraph, boundary-only FM at every uncoarsening level.
-/// Shares the flat engine's restarts/threads/budget/metrics plumbing;
-/// event traces are per-pass and not supported here.
-fn run_multilevel(
-    graph: &Hypergraph,
-    constraints: DeviceConstraints,
-    args: &Args,
-    restarts: usize,
-    threads: usize,
-    budget: RunBudget,
-) -> Result<fpart_core::PartitionOutcome, CliError> {
-    if args.switch("trace") || args.option("trace-json").is_some() {
-        return Err(CliError::Usage(
-            "--trace/--trace-json are not available with --multilevel".into(),
-        ));
-    }
-    let coarsen_floor: usize = args.option_parsed("coarsen-floor", 256).map_err(CliError::Usage)?;
-    if coarsen_floor < 2 {
-        return Err(CliError::Usage("--coarsen-floor must be at least 2".into()));
-    }
-    let config = FpartConfig { budget, ..FpartConfig::default() };
-    // `--max-memory-mb` caps the estimated bytes held by the coarsening
-    // hierarchy: coarsening stops early and the run completes
-    // `degraded` instead of exhausting memory.
-    let max_memory_mb: Option<u64> = args
-        .option("max-memory-mb")
-        .map(|v| v.parse().map_err(|_| format!("option --max-memory-mb: cannot parse `{v}`")))
-        .transpose()
-        .map_err(CliError::Usage)?;
-    let memory = max_memory_mb.map_or_else(fpart_core::MemoryBudget::default, |mb| {
-        fpart_core::MemoryBudget::capped(mb.saturating_mul(1024 * 1024))
-    });
-    // `--threads` is the total worker budget. The restart wrappers split
-    // it themselves; the single-run path below hands the whole budget to
-    // the V-cycle's intra-run stages (the field is overridden by the
-    // wrappers, so setting it here is only visible to that path).
-    // `--cache` wires a fingerprint-keyed memo store into the run.
-    // Within one process it lets identical restarts share coarsening
-    // work; results are bit-identical with or without it. (The server
-    // is where the store pays off across requests — it defaults on
-    // there.)
-    let memo = args.switch("cache").then(fpart_core::MemoStore::shared);
-    let ml = fpart_core::MultilevelConfig {
-        coarsen_floor,
-        threads,
-        memory,
-        memo,
-        ..fpart_core::MultilevelConfig::default()
-    };
-    let metrics_path = args.option("metrics");
-    let chrome_path = args.option("trace-chrome");
-    let progress = args.switch("progress");
-    let want_metrics = metrics_path.is_some() || chrome_path.is_some();
-    let started = std::time::Instant::now();
-
-    // The aggregate shared by --metrics and --trace-chrome (spans ride
-    // in the metrics registry).
-    let mut aggregate: Option<(Metrics, Vec<Metrics>, Completion, Vec<FailedRestart>)> = None;
-
-    let durable = args.option("checkpoint").is_some() || args.option("resume").is_some();
-    let outcome = if durable {
-        let report = run_durable(graph, constraints, &config, Some(&ml), args, restarts, threads)?;
-        let outcome = report.outcome;
-        if want_metrics {
-            aggregate = Some((report.totals, report.per_restart, report.completion, report.failed));
-        }
-        outcome
-    } else if progress {
-        // Single observed run so heartbeat events have a live sink.
-        let mut sink = ProgressPrinter;
-        // Heartbeats report the pass counter, so --progress needs a
-        // live registry even when no metrics output was requested.
-        let metrics = Metrics::enabled();
-        let mut obs = Observer::new(metrics, Some(&mut sink));
-        obs.heartbeat = fpart_core::Heartbeat::every(PROGRESS_INTERVAL);
-        let result =
-            fpart_core::partition_multilevel_observed(graph, constraints, &config, &ml, &mut obs);
-        let mut metrics = obs.metrics;
-        let outcome = result.map_err(|e| CliError::Runtime(e.to_string()))?;
-        if want_metrics {
-            metrics.bump(Counter::Runs);
-            aggregate = Some((metrics.clone(), vec![metrics], outcome.completion, Vec::new()));
-        }
-        outcome
-    } else if want_metrics {
-        let report = fpart_core::partition_multilevel_restarts_observed(
-            graph,
-            constraints,
-            &config,
-            &ml,
-            restarts,
-            threads,
-        )
-        .map_err(|e| CliError::Runtime(e.to_string()))?;
-        aggregate = Some((report.totals, report.per_restart, report.completion, report.failed));
-        report.outcome
-    } else if restarts > 1 {
-        fpart_core::partition_multilevel_restarts(
-            graph,
-            constraints,
-            &config,
-            &ml,
-            restarts,
-            threads,
-        )
-        .map_err(|e| CliError::Runtime(e.to_string()))?
-    } else {
-        fpart_core::partition_multilevel(graph, constraints, &config, &ml)
-            .map_err(|e| CliError::Runtime(e.to_string()))?
-    };
-
-    if want_metrics {
-        let (totals, per_restart, completion, failed) =
-            aggregate.expect("metrics aggregate recorded above");
-        if let Some(path) = metrics_path {
-            let quality = QualityReport::new(&outcome, constraints);
-            write_metrics_file(
-                path,
-                restarts,
-                threads,
-                started.elapsed(),
-                &totals,
-                &per_restart,
-                completion,
-                &failed,
-                &quality,
-            )
-            .map_err(CliError::Runtime)?;
-            eprintln!("metrics written to {}", dest_name(path));
-        }
-        if let Some(path) = chrome_path {
-            write_chrome_trace(path, &totals)?;
-        }
-    }
-    Ok(outcome)
-}
-
 /// Writes the `--metrics` document: a single JSON object with
 /// `schema_version`, the run shape (`restarts`, `threads`), the CLI's
 /// wall time in `elapsed_ms` (the denominator `fpart report` uses for
@@ -780,6 +612,38 @@ fn json_string(text: &str) -> String {
     }
     out.push('"');
     out
+}
+
+/// Resolves `--restarts` (default 1) and `--threads`, both at least 1.
+/// The thread default comes from `FPART_THREADS` when set: results are
+/// bit-identical at every thread count, so the environment can only
+/// change wall time (CI runs its thread matrix through this).
+fn resolve_search(args: &Args) -> Result<(usize, usize), CliError> {
+    let restarts: usize = args.option_parsed("restarts", 1).map_err(CliError::Usage)?;
+    let threads: usize = args
+        .option_parsed("threads", fpart_core::parallel::default_threads())
+        .map_err(CliError::Usage)?;
+    if restarts == 0 || threads == 0 {
+        return Err(CliError::Usage("--restarts and --threads must be at least 1".into()));
+    }
+    Ok((restarts, threads))
+}
+
+/// The run budget: SIGINT/SIGTERM always cancel cooperatively;
+/// `--deadline-ms` and `--max-passes` cap the run only when given.
+fn resolve_budget(args: &Args) -> Result<RunBudget, CliError> {
+    let parse = |flag: &str| {
+        args.option(flag)
+            .map(|v| v.parse().map_err(|_| format!("option --{flag}: cannot parse `{v}`")))
+            .transpose()
+            .map_err(CliError::Usage)
+    };
+    Ok(RunBudget {
+        deadline: parse("deadline-ms")?.map(std::time::Duration::from_millis),
+        max_passes: parse("max-passes")?,
+        max_moves: None,
+        cancel: Some(CancelToken::from_static(&crate::INTERRUPTED)),
+    })
 }
 
 /// Resolves the `--max-*` input limits: [`ParseLimits::default`]'s sane
@@ -899,20 +763,31 @@ fn print_trace(trace: &Trace) {
     }
 }
 
-/// Writes the versioned `#%fpart-assignment` format (the `fpart eco`
-/// input format) to `path`.
-fn write_versioned_assignment(
-    path: &str,
+/// Writes the assignment where the flags ask: `--output` (the plain
+/// `node block` format) and `--write-assignment` (the versioned
+/// `#%fpart-assignment` format, the `fpart eco` input format).
+fn write_outputs(
+    args: &Args,
     graph: &Hypergraph,
     assignment: &[u32],
     blocks: usize,
 ) -> Result<(), CliError> {
-    let mut file = fpart_core::AtomicFile::create(Path::new(path))
-        .map_err(|e| CliError::Runtime(format!("cannot create {path}: {e}")))?;
-    fpart_core::write_assignment_versioned(&mut file, graph, assignment, blocks)
-        .map_err(|e| CliError::Runtime(format!("cannot write {path}: {e}")))?;
-    file.commit().map_err(|e| CliError::Runtime(format!("cannot write {path}: {e}")))?;
-    eprintln!("versioned assignment written to {path}");
+    if let Some(path) = args.option("output") {
+        let mut file = fpart_core::AtomicFile::create(Path::new(path))
+            .map_err(|e| CliError::Runtime(format!("cannot create {path}: {e}")))?;
+        fpart_core::write_assignment(&mut file, graph, assignment)
+            .map_err(|e| CliError::Runtime(format!("cannot write {path}: {e}")))?;
+        file.commit().map_err(|e| CliError::Runtime(format!("cannot write {path}: {e}")))?;
+        eprintln!("assignment written to {path}");
+    }
+    if let Some(path) = args.option("write-assignment") {
+        let mut file = fpart_core::AtomicFile::create(Path::new(path))
+            .map_err(|e| CliError::Runtime(format!("cannot create {path}: {e}")))?;
+        fpart_core::write_assignment_versioned(&mut file, graph, assignment, blocks)
+            .map_err(|e| CliError::Runtime(format!("cannot write {path}: {e}")))?;
+        file.commit().map_err(|e| CliError::Runtime(format!("cannot write {path}: {e}")))?;
+        eprintln!("versioned assignment written to {path}");
+    }
     Ok(())
 }
 
@@ -960,26 +835,8 @@ pub fn eco(raw: &[String]) -> Result<(), CliError> {
         .ok_or_else(|| CliError::Usage("eco needs --assignment FILE".into()))?;
     let edits_file =
         args.option("edits").ok_or_else(|| CliError::Usage("eco needs --edits FILE".into()))?;
-    let restarts: usize = args.option_parsed("restarts", 1).map_err(CliError::Usage)?;
-    // Default from `FPART_THREADS` when set: results are bit-identical
-    // at every thread count, so the environment can only change wall
-    // time (CI runs its thread matrix through this).
-    let threads: usize = args
-        .option_parsed("threads", fpart_core::parallel::default_threads())
-        .map_err(CliError::Usage)?;
-    if restarts == 0 || threads == 0 {
-        return Err(CliError::Usage("--restarts and --threads must be at least 1".into()));
-    }
-    let deadline_ms: Option<u64> = args
-        .option("deadline-ms")
-        .map(|v| v.parse().map_err(|_| format!("option --deadline-ms: cannot parse `{v}`")))
-        .transpose()
-        .map_err(CliError::Usage)?;
-    let max_passes: Option<u64> = args
-        .option("max-passes")
-        .map(|v| v.parse().map_err(|_| format!("option --max-passes: cannot parse `{v}`")))
-        .transpose()
-        .map_err(CliError::Usage)?;
+    let (restarts, threads) = resolve_search(&args)?;
+    let budget = resolve_budget(&args)?;
     let churn_threshold: f64 =
         args.option_parsed("churn-threshold", 0.15).map_err(CliError::Usage)?;
     if !(0.0..=1.0).contains(&churn_threshold) {
@@ -1008,12 +865,6 @@ pub fn eco(raw: &[String]) -> Result<(), CliError> {
     );
 
     crate::install_signal_handlers();
-    let budget = RunBudget {
-        deadline: deadline_ms.map(std::time::Duration::from_millis),
-        max_passes,
-        max_moves: None,
-        cancel: Some(CancelToken::from_static(&crate::INTERRUPTED)),
-    };
     let config = FpartConfig { budget, ..FpartConfig::default() };
     let eco_config = fpart_core::EcoConfig {
         churn_threshold,
@@ -1025,72 +876,22 @@ pub fn eco(raw: &[String]) -> Result<(), CliError> {
     };
 
     let started = std::time::Instant::now();
-    let outcome = if let Some(path) = args.option("metrics") {
-        let mut report = fpart_core::repartition_eco_restarts_observed(
-            &applied.graph,
-            constraints,
-            &config,
-            &eco_config,
-            &previous,
-            &applied.node_map,
-            restarts,
-            threads,
-        )
-        .map_err(|e| CliError::Runtime(e.to_string()))?;
-        // The script was applied once, before the restart fan-out; book
-        // the edits on restart 0 so totals stay the per-restart sum.
-        report.totals.add(Counter::EcoEditsApplied, script.len() as u64);
-        if let Some(first) = report.per_restart.first_mut() {
-            first.add(Counter::EcoEditsApplied, script.len() as u64);
-        }
-        let quality = QualityReport::new(&report.outcome, constraints);
-        write_metrics_file(
-            path,
-            restarts,
-            threads,
-            started.elapsed(),
-            &report.totals,
-            &report.per_restart,
-            report.completion,
-            &report.failed,
-            &quality,
-        )
-        .map_err(CliError::Runtime)?;
-        eprintln!("metrics written to {}", dest_name(path));
-        report.outcome
-    } else if restarts > 1 {
-        fpart_core::repartition_eco_restarts(
-            &applied.graph,
-            constraints,
-            &config,
-            &eco_config,
-            &previous,
-            &applied.node_map,
-            restarts,
-            threads,
-        )
-        .map_err(|e| CliError::Runtime(e.to_string()))?
-    } else {
-        let report = fpart_core::repartition_eco(
-            &applied.graph,
-            constraints,
-            &config,
-            &eco_config,
-            &previous,
-            &applied.node_map,
-        )
-        .map_err(|e| CliError::Runtime(e.to_string()))?;
+    let method =
+        RunMethod::Eco { eco: eco_config, previous: &previous, node_map: &applied.node_map };
+    let spec = RunSpec { restarts, threads, ..RunSpec::new(method, config) };
+    let report = run_engine(&applied.graph, constraints, &args, spec, script.len())?;
+    if let Some(eco) = report.eco {
         eprintln!(
             "eco: {} (churn {:.4}, carried {}, placed {}, removed {}, dirty blocks {})",
-            if report.repaired { "repaired in place" } else { "fell back to full repartition" },
-            report.churn,
-            report.carried,
-            report.placed,
-            report.removed,
-            report.dirty_blocks
+            if eco.repaired { "repaired in place" } else { "fell back to full repartition" },
+            eco.churn,
+            eco.carried,
+            eco.placed,
+            eco.removed,
+            eco.dirty_blocks
         );
-        report.outcome
-    };
+    }
+    let outcome = report.outcome;
 
     println!("{}", QualityReport::new(&outcome, constraints));
     println!(
@@ -1104,22 +905,7 @@ pub fn eco(raw: &[String]) -> Result<(), CliError> {
     );
     print_block_summary(&applied.graph, &outcome.assignment, outcome.device_count, constraints);
 
-    if let Some(output) = args.option("output") {
-        let mut file = fpart_core::AtomicFile::create(Path::new(output))
-            .map_err(|e| CliError::Runtime(format!("cannot create {output}: {e}")))?;
-        fpart_core::write_assignment(&mut file, &applied.graph, &outcome.assignment)
-            .map_err(|e| CliError::Runtime(format!("cannot write {output}: {e}")))?;
-        file.commit().map_err(|e| CliError::Runtime(format!("cannot write {output}: {e}")))?;
-        eprintln!("assignment written to {output}");
-    }
-    if let Some(path) = args.option("write-assignment") {
-        write_versioned_assignment(
-            path,
-            &applied.graph,
-            &outcome.assignment,
-            outcome.device_count,
-        )?;
-    }
+    write_outputs(&args, &applied.graph, &outcome.assignment, outcome.device_count)?;
     if outcome.completion == Completion::Cancelled || crate::interrupted() {
         return Err(crate::signal_exit_error());
     }

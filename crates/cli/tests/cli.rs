@@ -627,6 +627,72 @@ fn eco_repairs_an_edited_netlist() {
 
 /// `--metrics -` and `--trace-json -` write their documents to stdout
 /// instead of a file.
+/// Every `fpart eco` path — one restart, several restarts, metered or
+/// not, any thread count — reports the winning repair on stderr and
+/// writes the same repaired assignment.
+#[test]
+fn eco_reports_the_repair_on_every_path() {
+    let dir = temp_dir("eco-paths");
+    let netlist = dir.join("c.fhg");
+    let assignment = dir.join("p.json");
+    let edits = dir.join("edits.jsonl");
+    let out = fpart()
+        .args(["gen", "window", "--nodes", "300", "--terminals", "24", "--seed", "9", "--output"])
+        .arg(&netlist)
+        .output()
+        .expect("runs");
+    assert!(out.status.success());
+    let out = fpart()
+        .arg("partition")
+        .arg(&netlist)
+        .args(["--device", "XC3020", "--write-assignment"])
+        .arg(&assignment)
+        .output()
+        .expect("runs");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    std::fs::write(
+        &edits,
+        "{\"op\": \"remove_node\", \"name\": \"x7\"}\n\
+         {\"op\": \"add_node\", \"name\": \"spin_a\", \"size\": 1}\n\
+         {\"op\": \"add_net\", \"name\": \"spin_n\", \"pins\": [\"spin_a\", \"x8\"]}\n",
+    )
+    .expect("edits written");
+
+    let metrics = dir.join("metrics.json");
+    let metrics = metrics.to_str().expect("utf-8 path");
+    let paths: [&[&str]; 5] = [
+        &[],
+        &["--threads", "2"],
+        &["--restarts", "2"],
+        &["--metrics", metrics],
+        &["--restarts", "2", "--threads", "2", "--metrics", metrics],
+    ];
+    let mut reference: Option<String> = None;
+    for (i, extra) in paths.iter().enumerate() {
+        let repaired = dir.join(format!("repaired{i}.txt"));
+        let out = fpart()
+            .arg("eco")
+            .arg(&netlist)
+            .arg("--assignment")
+            .arg(&assignment)
+            .arg("--edits")
+            .arg(&edits)
+            .args(["--device", "XC3020", "--output"])
+            .arg(&repaired)
+            .args(*extra)
+            .output()
+            .expect("runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{extra:?}: {stderr}");
+        assert!(
+            stderr.contains("eco: repaired in place (churn ") && stderr.contains("dirty blocks"),
+            "{extra:?}: {stderr}"
+        );
+        let written = std::fs::read_to_string(&repaired).expect("assignment written");
+        assert_eq!(reference.get_or_insert_with(|| written.clone()), &written, "{extra:?}");
+    }
+}
+
 #[test]
 fn metrics_and_trace_json_accept_stdout() {
     let dir = temp_dir("stdout_dash");

@@ -3,9 +3,10 @@
 //! The durable unit is a **completed restart**: the search's reduction
 //! picks the winner from per-restart outcomes in restart-index order, so
 //! a checkpoint holding any subset of completed restarts lets a resumed
-//! run re-execute only the missing indices (each fully determined by
-//! `restart_config(config, i)`) and merge saved + fresh outcomes into a
-//! result **bit-identical** to an uninterrupted run.
+//! run ([`crate::run`] with [`crate::RunSpec::resume`]) re-execute only
+//! the missing indices (each fully determined by the run spec and its
+//! index) and merge saved + fresh outcomes into a result
+//! **bit-identical** to an uninterrupted run.
 //!
 //! Three guarantees:
 //!
@@ -25,7 +26,6 @@
 //! are persisted: cancelled or deadline-expired restarts depend on
 //! wall-clock timing and would break bit-identity if replayed from disk.
 
-use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 use std::io;
@@ -39,14 +39,10 @@ use fpart_hypergraph::{fingerprint_graph, order_checksum, Hypergraph};
 
 use crate::budget::{Completion, RunBudget};
 use crate::config::FpartConfig;
-use crate::driver::{
-    observed_restart_job, reduce_outcomes, validate_search, BlockReport, FailedRestart,
-    PartitionError, PartitionOutcome, RestartsReport,
-};
-use crate::multilevel::{observed_multilevel_restart_job, split_thread_budget, MultilevelConfig};
+use crate::driver::{BlockReport, PartitionOutcome};
+use crate::multilevel::MultilevelConfig;
 use crate::obs::{Counter, Metrics, SCHEMA_VERSION};
 use crate::persist::write_atomic;
-use crate::trace::Trace;
 
 /// One completed restart, as persisted in a checkpoint.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -80,7 +76,8 @@ pub struct SavedRestart {
 }
 
 impl SavedRestart {
-    /// Captures a finished restart's outcome and counter snapshot.
+    /// Captures a finished restart's outcome and counter snapshot (no
+    /// counters when `metrics` is disabled).
     #[must_use]
     pub fn from_outcome(restart: usize, outcome: &PartitionOutcome, metrics: &Metrics) -> Self {
         SavedRestart {
@@ -95,7 +92,11 @@ impl SavedRestart {
             improve_calls: outcome.improve_calls,
             total_moves: outcome.total_moves,
             completion: outcome.completion,
-            counters: Counter::ALL.iter().map(|&c| metrics.get(c)).collect(),
+            counters: if metrics.is_enabled() {
+                Counter::ALL.iter().map(|&c| metrics.get(c)).collect()
+            } else {
+                Vec::new()
+            },
         }
     }
 
@@ -112,8 +113,8 @@ impl SavedRestart {
     }
 
     /// Reconstructs the outcome this restart produced. Wall-clock
-    /// elapsed time is not replayed (it reports zero) and the trace is
-    /// empty; everything the search reduction reads is bit-exact.
+    /// elapsed time is not replayed (it reports zero); everything the
+    /// search reduction reads is bit-exact.
     #[must_use]
     pub fn to_outcome(&self, metrics: Metrics) -> PartitionOutcome {
         PartitionOutcome {
@@ -127,7 +128,6 @@ impl SavedRestart {
             improve_calls: self.improve_calls,
             total_moves: self.total_moves,
             elapsed: Duration::ZERO,
-            trace: Trace::disabled(),
             metrics,
             completion: self.completion,
         }
@@ -616,180 +616,33 @@ impl Drop for CheckpointWriter {
     }
 }
 
-/// The outcome of one freshly executed (non-resumed) restart job:
-/// either the partition result plus its metrics registry, or the
-/// payload of a panic caught inside that job.
-type FreshResult =
-    Result<(Result<PartitionOutcome, PartitionError>, Metrics), crate::parallel::JobPanic>;
-
-/// The durable restart search: [`crate::partition_restarts_observed`] /
-/// [`crate::partition_multilevel_restarts_observed`] plus checkpointing
-/// and resume.
-///
-/// With `resume`, restarts already completed in the snapshot are
-/// restored from disk (their registries carry the saved counters plus a
-/// [`Counter::RestartsResumed`] mark) and only the missing indices run;
-/// the merged report is **bit-identical** to an uninterrupted run at any
-/// thread count. With `writer`, every completed restart submits an
-/// updated snapshot covering all restarts finished so far.
-///
-/// # Errors
-///
-/// Same contract as the non-durable searches, plus
-/// [`PartitionError::InvalidConfig`] when the resume snapshot's
-/// fingerprint or restart count disagrees with this run (the CLI
-/// pre-validates with [`Checkpoint::verify`] for a friendlier message).
-#[allow(clippy::too_many_arguments)]
-pub fn partition_restarts_durable(
-    graph: &Hypergraph,
-    constraints: DeviceConstraints,
-    config: &FpartConfig,
-    multilevel: Option<&MultilevelConfig>,
-    restarts: usize,
-    threads: usize,
-    fingerprint: u64,
-    resume: Option<&Checkpoint>,
-    writer: Option<&CheckpointWriter>,
-) -> Result<RestartsReport, PartitionError> {
-    validate_search(restarts, threads)?;
-    let mut resumed: BTreeMap<usize, SavedRestart> = BTreeMap::new();
-    if let Some(snapshot) = resume {
-        if snapshot.fingerprint != fingerprint {
-            return Err(PartitionError::InvalidConfig {
-                what: "resume checkpoint was recorded for a different run (fingerprint mismatch)",
-            });
-        }
-        if snapshot.restarts != restarts {
-            return Err(PartitionError::InvalidConfig {
-                what: "resume checkpoint was recorded for a different restart count",
-            });
-        }
-        for saved in &snapshot.completed {
-            // Only deterministic completions are replayable; anything
-            // else (and out-of-range indices) is recomputed.
-            if saved.restart < restarts
-                && matches!(saved.completion, Completion::Complete | Completion::Degraded)
-            {
-                resumed.insert(saved.restart, saved.clone());
-            }
-        }
-    }
-    let pending: Vec<usize> = (0..restarts).filter(|i| !resumed.contains_key(i)).collect();
-    // The thread split uses the *total* restart count, matching the
-    // uninterrupted run (the result is thread-count invariant either
-    // way; this keeps the work shape identical too).
-    let (outer, inner) = match multilevel {
-        Some(_) => split_thread_budget(threads, restarts),
-        None => (threads, 1),
-    };
-
-    let completed = Mutex::new(resumed.clone());
-    let record = |saved: SavedRestart| {
-        let snapshot = {
-            let mut completed = completed.lock().expect("checkpoint set lock");
-            completed.insert(saved.restart, saved);
-            writer.map(|_| completed.values().cloned().collect::<Vec<_>>())
-        };
-        if let (Some(writer), Some(completed)) = (writer, snapshot) {
-            writer.submit(Checkpoint {
-                schema_version: SCHEMA_VERSION,
-                fingerprint,
-                restarts,
-                completed,
-            });
-        }
-    };
-
-    // `pending` is empty when every restart was resumed; the single
-    // dummy slot keeps the fan-out non-degenerate and is discarded.
-    let gk = multilevel.and_then(|ml| crate::multilevel::run_graph_key(graph, ml));
-    let results = crate::parallel::run_indexed_caught(pending.len().max(1), outer, &|j| {
-        let &i = pending.get(j)?;
-        let (result, metrics) = match multilevel {
-            Some(ml) => observed_multilevel_restart_job(
-                graph,
-                constraints,
-                config,
-                ml,
-                inner,
-                i,
-                gk.as_ref(),
-            ),
-            None => observed_restart_job(graph, constraints, config, i),
-        };
-        if let Ok(outcome) = &result {
-            if matches!(outcome.completion, Completion::Complete | Completion::Degraded) {
-                record(SavedRestart::from_outcome(i, outcome, &metrics));
-            }
-        }
-        Some((result, metrics))
-    });
-    let mut fresh: BTreeMap<usize, FreshResult> = BTreeMap::new();
-    for (slot, result) in results.into_iter().enumerate() {
-        let Some(&i) = pending.get(slot) else { continue };
-        match result {
-            Ok(Some(value)) => {
-                fresh.insert(i, Ok(value));
-            }
-            Ok(None) => {}
-            Err(panic) => {
-                fresh.insert(i, Err(panic));
-            }
-        }
-    }
-
-    // Merge saved and fresh outcomes in restart-index order — the same
-    // reduction as the uninterrupted observed search.
-    let mut totals = Metrics::enabled();
-    let mut per_restart = Vec::with_capacity(restarts);
-    let mut outcomes = Vec::with_capacity(restarts);
-    let mut failed = Vec::new();
-    for i in 0..restarts {
-        if let Some(saved) = resumed.get(&i) {
-            let metrics = saved.rebuild_metrics();
-            totals.merge(&metrics);
-            outcomes.push(Ok(saved.to_outcome(metrics.clone())));
-            per_restart.push(metrics);
-            continue;
-        }
-        match fresh.remove(&i).expect("every pending restart has a slot") {
-            Ok((result, metrics)) => {
-                totals.merge(&metrics);
-                per_restart.push(metrics);
-                outcomes.push(result);
-            }
-            Err(panic) => {
-                let mut metrics = Metrics::enabled();
-                metrics.bump(Counter::FailedRestarts);
-                totals.merge(&metrics);
-                per_restart.push(metrics);
-                failed.push(FailedRestart { restart: i, message: panic.message });
-            }
-        }
-    }
-    if outcomes.is_empty() {
-        let first = failed.into_iter().next().expect("at least one restart executes");
-        return Err(PartitionError::RestartPanicked {
-            restart: first.restart,
-            message: first.message,
-        });
-    }
-    reduce_outcomes(outcomes).map(|outcome| {
-        let mut completion = outcome.completion;
-        if !failed.is_empty() {
-            completion = completion.worst(Completion::Degraded);
-        }
-        RestartsReport { outcome, totals, per_restart, completion, failed }
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::multilevel::partition_multilevel_restarts_observed;
-    use crate::partition_restarts_observed;
-    use fpart_device::Device;
+    use crate::driver::PartitionError;
+    use crate::obs::Observer;
+    use crate::search::{run, RestartsReport, RunMethod, RunSpec};
+    use fpart_device::{Device, DeviceConstraints};
     use fpart_hypergraph::gen::{window_circuit, WindowConfig};
+
+    /// Runs a metered restart search through [`run`], optionally resumed
+    /// and checkpointed.
+    #[allow(clippy::too_many_arguments)]
+    fn search(
+        graph: &Hypergraph,
+        constraints: DeviceConstraints,
+        config: &FpartConfig,
+        multilevel: Option<&MultilevelConfig>,
+        restarts: usize,
+        threads: usize,
+        resume: Option<&Checkpoint>,
+        writer: Option<&CheckpointWriter>,
+    ) -> Result<RestartsReport, PartitionError> {
+        let method = multilevel.map_or(RunMethod::Flat, |ml| RunMethod::Multilevel(ml.clone()));
+        let spec =
+            RunSpec { restarts, threads, resume, writer, ..RunSpec::new(method, config.clone()) };
+        run(graph, constraints, &spec, &mut Observer::new(Metrics::enabled(), None))
+    }
 
     fn sample_checkpoint() -> Checkpoint {
         Checkpoint {
@@ -895,11 +748,16 @@ mod tests {
         let g = window_circuit(&WindowConfig::new("w", 180, 18), 5);
         let constraints = fpart_device::DeviceConstraints::new(35, 60);
         let config = FpartConfig::default();
-        let fp = fingerprint_run(&g, constraints, &config, None, 3);
-        let durable =
-            partition_restarts_durable(&g, constraints, &config, None, 3, 2, fp, None, None)
-                .unwrap();
-        let plain = partition_restarts_observed(&g, constraints, &config, 3, 2).unwrap();
+        // Resuming an empty snapshot takes the durable path with nothing
+        // restored and nothing written.
+        let empty = Checkpoint {
+            schema_version: SCHEMA_VERSION,
+            fingerprint: fingerprint_run(&g, constraints, &config, None, 3),
+            restarts: 3,
+            completed: Vec::new(),
+        };
+        let durable = search(&g, constraints, &config, None, 3, 2, Some(&empty), None).unwrap();
+        let plain = search(&g, constraints, &config, None, 3, 2, None, None).unwrap();
         assert_eq!(durable.outcome.assignment, plain.outcome.assignment);
         assert_eq!(durable.outcome.cut, plain.outcome.cut);
         assert_eq!(durable.outcome.device_count, plain.outcome.device_count);
@@ -917,17 +775,23 @@ mod tests {
         let restarts = 4;
         let fp = fingerprint_run(&g, constraints, &config, Some(&ml), restarts);
 
+        let dir =
+            std::env::temp_dir().join(format!("fpart-checkpoint-partial-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("run.ckpt");
+        let writer = CheckpointWriter::spawn(path.clone(), Duration::ZERO);
         let full =
-            partition_multilevel_restarts_observed(&g, constraints, &config, &ml, restarts, 2)
-                .unwrap();
+            search(&g, constraints, &config, Some(&ml), restarts, 2, None, Some(&writer)).unwrap();
+        writer.finish().unwrap();
 
         // Simulate a crash after restarts 0 and 2 completed.
-        let mut partial = Vec::new();
-        for i in [0usize, 2] {
-            let (result, metrics) =
-                observed_multilevel_restart_job(&g, constraints, &config, &ml, 1, i, None);
-            partial.push(SavedRestart::from_outcome(i, &result.unwrap(), &metrics));
-        }
+        let partial = read_checkpoint(&path)
+            .unwrap()
+            .completed
+            .into_iter()
+            .filter(|saved| saved.restart == 0 || saved.restart == 2)
+            .collect();
+        std::fs::remove_dir_all(&dir).unwrap();
         let snapshot = Checkpoint {
             schema_version: SCHEMA_VERSION,
             fingerprint: fp,
@@ -937,14 +801,13 @@ mod tests {
         let roundtripped = Checkpoint::parse(&snapshot.to_text()).unwrap();
 
         for threads in [1usize, 4] {
-            let resumed = partition_restarts_durable(
+            let resumed = search(
                 &g,
                 constraints,
                 &config,
                 Some(&ml),
                 restarts,
                 threads,
-                fp,
                 Some(&roundtripped),
                 None,
             )
@@ -979,18 +842,7 @@ mod tests {
             completed: Vec::new(),
         };
         assert!(snapshot.verify(fp).is_err());
-        let err = partition_restarts_durable(
-            &g,
-            constraints,
-            &config,
-            None,
-            2,
-            1,
-            fp,
-            Some(&snapshot),
-            None,
-        )
-        .unwrap_err();
+        let err = search(&g, constraints, &config, None, 2, 1, Some(&snapshot), None).unwrap_err();
         assert!(matches!(err, PartitionError::InvalidConfig { .. }));
     }
 
@@ -1007,18 +859,8 @@ mod tests {
         let restarts = 3;
         let fp = fingerprint_run(&g, constraints, &config, None, restarts);
         let writer = CheckpointWriter::spawn(path.clone(), Duration::ZERO);
-        let report = partition_restarts_durable(
-            &g,
-            constraints,
-            &config,
-            None,
-            restarts,
-            2,
-            fp,
-            None,
-            Some(&writer),
-        )
-        .unwrap();
+        let report =
+            search(&g, constraints, &config, None, restarts, 2, None, Some(&writer)).unwrap();
         let writes = writer.finish().unwrap();
         assert!(writes >= 1, "at least one checkpoint written");
 
@@ -1029,18 +871,8 @@ mod tests {
 
         // Resuming from the final snapshot recomputes nothing and still
         // reproduces the search result exactly.
-        let resumed = partition_restarts_durable(
-            &g,
-            constraints,
-            &config,
-            None,
-            restarts,
-            1,
-            fp,
-            Some(&snapshot),
-            None,
-        )
-        .unwrap();
+        let resumed =
+            search(&g, constraints, &config, None, restarts, 1, Some(&snapshot), None).unwrap();
         assert_eq!(resumed.outcome.assignment, report.outcome.assignment);
         assert_eq!(resumed.outcome.cut, report.outcome.cut);
         assert_eq!(resumed.totals.get(Counter::RestartsResumed), restarts as u64);

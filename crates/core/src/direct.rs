@@ -21,7 +21,6 @@ use crate::driver::{PartitionError, PartitionOutcome};
 use crate::engine::{improve, ImproveContext, NO_REMAINDER};
 use crate::refine::{refine_pairs, RefineConfig};
 use crate::state::PartitionState;
-use crate::trace::Trace;
 
 /// Options of the direct k-way mode.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -102,7 +101,6 @@ pub fn partition_direct(
             0,
             0,
             started.elapsed(),
-            Trace::disabled(),
             crate::obs::Metrics::disabled(),
             crate::budget::Completion::Complete,
         ));
@@ -139,7 +137,6 @@ pub fn partition_direct(
                 0,
                 0,
                 started.elapsed(),
-                Trace::disabled(),
                 crate::obs::Metrics::disabled(),
                 crate::budget::Completion::Complete,
             ));

@@ -29,17 +29,16 @@
 use std::time::Instant;
 
 use fpart_device::{lower_bound, DeviceConstraints};
-use fpart_hypergraph::{apply_script, EditApplied, EditScript, Hypergraph, NodeId};
+use fpart_hypergraph::{Hypergraph, NodeId};
 
 use crate::budget::BudgetTracker;
 use crate::config::FpartConfig;
 use crate::cost::CostEvaluator;
-use crate::driver::{restart_config, search_restarts, PartitionError, PartitionOutcome};
+use crate::driver::{assemble_outcome, check_node_sizes, PartitionError, PartitionOutcome};
 use crate::multilevel::{partition_multilevel_observed, MultilevelConfig};
-use crate::obs::{Counter, Metrics, Observer};
+use crate::obs::{Counter, Observer};
 use crate::refine::{refine_boundary_dirty_metered, RefineConfig};
 use crate::state::PartitionState;
-use crate::trace::Trace;
 use crate::verify::verify_assignment;
 
 /// Options of the ECO repair driver.
@@ -109,58 +108,46 @@ pub struct EcoReport {
     pub churn: f64,
 }
 
-/// An error from the combined apply-then-repair entry points.
-#[derive(Debug, Clone, PartialEq)]
-#[non_exhaustive]
-pub enum EcoError {
-    /// The edit script could not be applied to the netlist.
-    Apply(fpart_hypergraph::ApplyEditError),
-    /// The repair (or its fallback) failed.
-    Partition(PartitionError),
-}
-
-impl std::fmt::Display for EcoError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            EcoError::Apply(e) => write!(f, "edit script failed: {e}"),
-            EcoError::Partition(e) => write!(f, "repair failed: {e}"),
+impl EcoReport {
+    /// The repair figures without the outcome.
+    #[must_use]
+    pub fn summary(&self) -> EcoSummary {
+        EcoSummary {
+            repaired: self.repaired,
+            carried: self.carried,
+            placed: self.placed,
+            removed: self.removed,
+            dirty_blocks: self.dirty_blocks,
+            churn: self.churn,
         }
     }
 }
 
-impl std::error::Error for EcoError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            EcoError::Apply(e) => Some(e),
-            EcoError::Partition(e) => Some(e),
-        }
-    }
-}
-
-impl From<fpart_hypergraph::ApplyEditError> for EcoError {
-    fn from(e: fpart_hypergraph::ApplyEditError) -> Self {
-        EcoError::Apply(e)
-    }
-}
-
-impl From<PartitionError> for EcoError {
-    fn from(e: PartitionError) -> Self {
-        EcoError::Partition(e)
-    }
-}
-
-/// Result of [`repartition_edited`]: the edit application plus the
-/// repair report on the edited graph.
-#[derive(Debug, Clone)]
-pub struct EcoRun {
-    /// The edited graph and old→new node mapping.
-    pub edited: EditApplied,
-    /// The repair result (assignments index the edited graph).
-    pub report: EcoReport,
+/// The repair figures of an [`EcoReport`]: what [`crate::run`] reports
+/// for the winning restart of an ECO search.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct EcoSummary {
+    /// See [`EcoReport::repaired`].
+    pub repaired: bool,
+    /// See [`EcoReport::carried`].
+    pub carried: usize,
+    /// See [`EcoReport::placed`].
+    pub placed: usize,
+    /// See [`EcoReport::removed`].
+    pub removed: usize,
+    /// See [`EcoReport::dirty_blocks`].
+    pub dirty_blocks: usize,
+    /// See [`EcoReport::churn`].
+    pub churn: f64,
 }
 
 /// Repairs `previous` — a `k`-way assignment of the graph the edit
-/// script was derived from — into a partition of the edited `graph`.
+/// script was derived from — into a partition of the edited `graph`,
+/// recording metrics into `obs`: dirty-block counts
+/// ([`Counter::EcoDirtyBlocks`]), fallbacks ([`Counter::EcoFallbacks`]),
+/// repair timing under [`crate::ImproveKind::Boundary`], and everything
+/// the fallback engine records when it runs. Use [`crate::run`] with
+/// [`crate::RunMethod::Eco`] for restarts.
 ///
 /// `node_map[old]` gives each old node's id in `graph` (`None` when the
 /// edit removed it), exactly as produced by
@@ -185,27 +172,6 @@ pub struct EcoRun {
 /// [`PartitionError::InvalidConfig`] when `previous` and `node_map`
 /// disagree in length, [`PartitionError::OversizedNode`] when a node
 /// cannot fit any block, and any error of the multilevel fallback.
-pub fn repartition_eco(
-    graph: &Hypergraph,
-    constraints: DeviceConstraints,
-    config: &FpartConfig,
-    eco: &EcoConfig,
-    previous: &[u32],
-    node_map: &[Option<NodeId>],
-) -> Result<EcoReport, PartitionError> {
-    let mut obs = Observer::none();
-    repartition_eco_observed(graph, constraints, config, eco, previous, node_map, &mut obs)
-}
-
-/// [`repartition_eco`] with metrics recorded into `obs` — dirty-block
-/// counts ([`Counter::EcoDirtyBlocks`]), fallbacks
-/// ([`Counter::EcoFallbacks`]), repair timing under
-/// [`crate::ImproveKind::Boundary`], and everything the fallback engine
-/// records when it runs.
-///
-/// # Errors
-///
-/// See [`repartition_eco`].
 #[allow(clippy::too_many_lines)]
 pub fn repartition_eco_observed(
     graph: &Hypergraph,
@@ -238,12 +204,7 @@ pub fn repartition_eco_observed(
             churn: 0.0,
         });
     }
-    for v in graph.node_ids() {
-        let size = graph.node_size(v);
-        if u64::from(size) > constraints.s_max {
-            return Err(PartitionError::OversizedNode { node: v, size, s_max: constraints.s_max });
-        }
-    }
+    check_node_sizes(graph, constraints)?;
 
     // Carry surviving assignments over the mapping.
     let n = graph.node_count();
@@ -454,7 +415,7 @@ pub fn repartition_eco_observed(
         });
     }
 
-    let outcome = crate::driver::assemble_outcome(
+    let outcome = assemble_outcome(
         graph,
         &state,
         constraints,
@@ -463,174 +424,56 @@ pub fn repartition_eco_observed(
         improve_calls,
         total_moves,
         start.elapsed(),
-        Trace::disabled(),
         obs.metrics.clone(),
         tracker.completion(),
     );
     Ok(EcoReport { outcome, repaired: true, carried, placed, removed, dirty_blocks, churn })
 }
 
-/// Applies `script` to `graph` and repairs `previous` onto the edited
-/// netlist — the end-to-end ECO entry point the CLI uses.
-///
-/// # Errors
-///
-/// [`EcoError::Apply`] when the script does not apply;
-/// [`EcoError::Partition`] when the repair (or its fallback) fails.
-pub fn repartition_edited(
-    graph: &Hypergraph,
-    script: &EditScript,
-    constraints: DeviceConstraints,
-    config: &FpartConfig,
-    eco: &EcoConfig,
-    previous: &[u32],
-) -> Result<EcoRun, EcoError> {
-    let mut obs = Observer::none();
-    repartition_edited_observed(graph, script, constraints, config, eco, previous, &mut obs)
-}
-
-/// [`repartition_edited`] with metrics: the applied edit count lands in
-/// [`Counter::EcoEditsApplied`] before the repair runs, so it is part of
-/// the outcome's metrics snapshot.
-///
-/// # Errors
-///
-/// See [`repartition_edited`].
-pub fn repartition_edited_observed(
-    graph: &Hypergraph,
-    script: &EditScript,
-    constraints: DeviceConstraints,
-    config: &FpartConfig,
-    eco: &EcoConfig,
-    previous: &[u32],
-    obs: &mut Observer<'_>,
-) -> Result<EcoRun, EcoError> {
-    let apply_started = obs.metrics.start();
-    let edited = apply_script(graph, script)?;
-    obs.metrics.add(Counter::EcoEditsApplied, script.len() as u64);
-    if let Some(started) = apply_started {
-        obs.metrics.record_span(
-            crate::obs::SpanKind::EcoApply,
-            0,
-            started.elapsed(),
-            crate::obs::SpanStats {
-                nodes: edited.graph.node_count() as u64,
-                nets: edited.graph.net_count() as u64,
-                moves: script.len() as u64,
-                ..crate::obs::SpanStats::default()
-            },
-        );
-    }
-    let report = repartition_eco_observed(
-        &edited.graph,
-        constraints,
-        config,
-        eco,
-        previous,
-        &edited.node_map,
-        obs,
-    )?;
-    Ok(EcoRun { edited, report })
-}
-
-/// Runs [`repartition_eco`] `restarts` times with consecutive seed
-/// offsets (diversifying both the driver seed and the fallback engine's
-/// matching seed), optionally across `threads` scoped worker threads,
-/// and returns the best report under the same restart-order reduction as
-/// [`crate::partition_restarts`] — **bit-identical for every thread
-/// count**. Restarts are panic-isolated exactly like the flat search.
-///
-/// # Errors
-///
-/// [`PartitionError::InvalidConfig`] when `restarts` or `threads` is
-/// zero; otherwise the contract of [`repartition_eco`].
-#[allow(clippy::too_many_arguments)]
-pub fn repartition_eco_restarts(
-    graph: &Hypergraph,
-    constraints: DeviceConstraints,
-    config: &FpartConfig,
-    eco: &EcoConfig,
-    previous: &[u32],
-    node_map: &[Option<NodeId>],
-    restarts: usize,
-    threads: usize,
-) -> Result<PartitionOutcome, PartitionError> {
-    let (outer, inner) = crate::multilevel::split_thread_budget(threads, restarts);
-    search_restarts(restarts, if threads == 0 { 0 } else { outer }, &|i| {
-        let cfg = restart_config(config, i);
-        let ecoc = EcoConfig {
-            multilevel: MultilevelConfig {
-                seed: eco.multilevel.seed.wrapping_add(i as u64),
-                threads: inner,
-                ..eco.multilevel.clone()
-            },
-            ..eco.clone()
-        };
-        repartition_eco(graph, constraints, &cfg, &ecoc, previous, node_map)
-            .map(|report| report.outcome)
-    })
-}
-
-/// [`repartition_eco_restarts`] with per-restart metrics recording,
-/// mirroring [`crate::partition_restarts_observed`]. Each restart's
-/// metrics include its own eco counters; the aggregate sums them.
-///
-/// # Errors
-///
-/// Same contract as [`repartition_eco_restarts`].
-#[allow(clippy::too_many_arguments)]
-pub fn repartition_eco_restarts_observed(
-    graph: &Hypergraph,
-    constraints: DeviceConstraints,
-    config: &FpartConfig,
-    eco: &EcoConfig,
-    previous: &[u32],
-    node_map: &[Option<NodeId>],
-    restarts: usize,
-    threads: usize,
-) -> Result<crate::driver::RestartsReport, PartitionError> {
-    let (outer, inner) = crate::multilevel::split_thread_budget(threads, restarts);
-    crate::driver::search_restarts_observed(restarts, if threads == 0 { 0 } else { outer }, &|i| {
-        let cfg = restart_config(config, i);
-        let ecoc = EcoConfig {
-            multilevel: MultilevelConfig {
-                seed: eco.multilevel.seed.wrapping_add(i as u64),
-                threads: inner,
-                ..eco.multilevel.clone()
-            },
-            ..eco.clone()
-        };
-        let mut obs = Observer::new(Metrics::enabled(), None);
-        obs.metrics.set_span_lane(i as u32);
-        obs.metrics.span_open(crate::obs::SpanKind::Restart, 0);
-        let result =
-            repartition_eco_observed(graph, constraints, &cfg, &ecoc, previous, node_map, &mut obs)
-                .map(|report| report.outcome);
-        let mut metrics = obs.metrics;
-        metrics.bump(Counter::Runs);
-        let span_stats = match &result {
-            Ok(outcome) => crate::obs::SpanStats {
-                nodes: graph.node_count() as u64,
-                nets: graph.net_count() as u64,
-                moves: outcome.total_moves as u64,
-                ..crate::obs::SpanStats::default()
-            },
-            Err(_) => crate::obs::SpanStats::default(),
-        };
-        metrics.span_close(span_stats);
-        (result, metrics)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::budget::RunBudget;
-    use crate::multilevel::partition_multilevel;
+    use crate::obs::Metrics;
+    use crate::search::{run, RunMethod, RunSpec};
     use fpart_device::Device;
     use fpart_hypergraph::gen::{window_circuit, WindowConfig};
-    use fpart_hypergraph::EditOp;
+    use fpart_hypergraph::{apply_script, EditApplied, EditOp, EditScript};
     use std::time::Duration;
+
+    /// One unobserved V-cycle: the partition an edit starts from.
+    fn multilevel(
+        g: &Hypergraph,
+        constraints: DeviceConstraints,
+        config: &FpartConfig,
+        ml: &MultilevelConfig,
+    ) -> Result<PartitionOutcome, PartitionError> {
+        partition_multilevel_observed(g, constraints, config, ml, &mut Observer::none())
+    }
+
+    /// Applies `script` to `graph` and repairs `previous` onto the
+    /// edited netlist.
+    fn repair_edited(
+        graph: &Hypergraph,
+        script: &EditScript,
+        constraints: DeviceConstraints,
+        config: &FpartConfig,
+        previous: &[u32],
+        obs: &mut Observer<'_>,
+    ) -> Result<(EditApplied, EcoReport), PartitionError> {
+        let edited = apply_script(graph, script).expect("script applies");
+        let eco = EcoConfig::default();
+        let report = repartition_eco_observed(
+            &edited.graph,
+            constraints,
+            config,
+            &eco,
+            previous,
+            &edited.node_map,
+            obs,
+        )?;
+        Ok((edited, report))
+    }
 
     fn small_edit(graph: &Hypergraph) -> EditScript {
         // Remove two cells, add one with a net into the survivors.
@@ -650,35 +493,30 @@ mod tests {
         let g = window_circuit(&WindowConfig::new("w", 400, 30), 3);
         let constraints = Device::XC3020.constraints(0.9);
         let config = FpartConfig::default();
-        let prev = partition_multilevel(&g, constraints, &config, &MultilevelConfig::default())
-            .expect("baseline");
-        let run = repartition_edited(
+        let prev =
+            multilevel(&g, constraints, &config, &MultilevelConfig::default()).expect("baseline");
+        let (edited, report) = repair_edited(
             &g,
             &small_edit(&g),
             constraints,
             &config,
-            &EcoConfig::default(),
             &prev.assignment,
+            &mut Observer::none(),
         )
         .expect("repairs");
-        assert!(run.report.repaired, "1% churn must stay on the repair path");
-        assert!(run.report.churn < 0.05, "churn {}", run.report.churn);
-        assert!(run.report.placed >= 1);
-        assert!(run.report.removed >= 2);
-        assert!(run.report.dirty_blocks >= 1);
-        let out = &run.report.outcome;
+        assert!(report.repaired, "1% churn must stay on the repair path");
+        assert!(report.churn < 0.05, "churn {}", report.churn);
+        assert!(report.placed >= 1);
+        assert!(report.removed >= 2);
+        assert!(report.dirty_blocks >= 1);
+        let out = &report.outcome;
         assert!(out.feasible, "blocks: {:?}", out.blocks);
-        assert_eq!(out.assignment.len(), run.edited.graph.node_count());
-        assert!(verify_assignment(
-            &run.edited.graph,
-            &out.assignment,
-            out.device_count,
-            constraints
-        )
-        .is_feasible());
+        assert_eq!(out.assignment.len(), edited.graph.node_count());
+        assert!(verify_assignment(&edited.graph, &out.assignment, out.device_count, constraints)
+            .is_feasible());
         // Most cells keep their block: repair is local by construction.
         let mut kept = 0usize;
-        for (old, mapped) in run.edited.node_map.iter().enumerate() {
+        for (old, mapped) in edited.node_map.iter().enumerate() {
             if let Some(new) = mapped {
                 // assemble_outcome compacts block ids, so compare
                 // co-membership instead of raw ids: count cells whose
@@ -688,7 +526,7 @@ mod tests {
                 kept += 1;
             }
         }
-        assert_eq!(kept, run.report.carried);
+        assert_eq!(kept, report.carried);
     }
 
     #[test]
@@ -696,8 +534,8 @@ mod tests {
         let g = window_circuit(&WindowConfig::new("w", 200, 20), 5);
         let constraints = Device::XC3020.constraints(0.9);
         let config = FpartConfig::default();
-        let prev = partition_multilevel(&g, constraints, &config, &MultilevelConfig::default())
-            .expect("baseline");
+        let prev =
+            multilevel(&g, constraints, &config, &MultilevelConfig::default()).expect("baseline");
         // Remove a third of the design — way past any sane threshold.
         let ops: Vec<EditOp> = g
             .node_ids()
@@ -705,33 +543,32 @@ mod tests {
             .map(|v| EditOp::RemoveNode { name: g.node_name(v).to_owned() })
             .collect();
         let mut obs = Observer::new(Metrics::enabled(), None);
-        let run = repartition_edited_observed(
+        let (_, report) = repair_edited(
             &g,
             &EditScript::new(ops),
             constraints,
             &config,
-            &EcoConfig::default(),
             &prev.assignment,
             &mut obs,
         )
         .expect("falls back");
-        assert!(!run.report.repaired);
-        assert!(run.report.churn > 0.15);
-        assert!(run.report.outcome.feasible);
+        assert!(!report.repaired);
+        assert!(report.churn > 0.15);
+        assert!(report.outcome.feasible);
         assert_eq!(obs.metrics.get(Counter::EcoFallbacks), 1);
-        assert!(obs.metrics.get(Counter::EcoEditsApplied) > 0);
     }
 
     #[test]
     fn mismatched_map_length_is_a_typed_error() {
         let g = window_circuit(&WindowConfig::new("w", 50, 8), 1);
-        let err = repartition_eco(
+        let err = repartition_eco_observed(
             &g,
             Device::XC3020.constraints(0.9),
             &FpartConfig::default(),
             &EcoConfig::default(),
             &[0, 0, 0],
             &[None],
+            &mut Observer::none(),
         )
         .unwrap_err();
         assert!(matches!(err, PartitionError::InvalidConfig { .. }));
@@ -742,25 +579,24 @@ mod tests {
         let g = window_circuit(&WindowConfig::new("w", 400, 30), 3);
         let constraints = Device::XC3020.constraints(0.9);
         let config = FpartConfig::default();
-        let prev = partition_multilevel(&g, constraints, &config, &MultilevelConfig::default())
-            .expect("baseline");
+        let prev =
+            multilevel(&g, constraints, &config, &MultilevelConfig::default()).expect("baseline");
         let timed = FpartConfig {
             budget: RunBudget { deadline: Some(Duration::ZERO), ..RunBudget::default() },
             ..config.clone()
         };
-        let run = repartition_edited(
+        let (edited, report) = repair_edited(
             &g,
             &small_edit(&g),
             constraints,
             &timed,
-            &EcoConfig::default(),
             &prev.assignment,
+            &mut Observer::none(),
         )
         .expect("degrades, does not error");
-        let out = &run.report.outcome;
-        assert_eq!(out.assignment.len(), run.edited.graph.node_count());
-        let v =
-            verify_assignment(&run.edited.graph, &out.assignment, out.device_count, constraints);
+        let out = &report.outcome;
+        assert_eq!(out.assignment.len(), edited.graph.node_count());
+        let v = verify_assignment(&edited.graph, &out.assignment, out.device_count, constraints);
         assert!(
             v.violations.iter().all(|x| matches!(
                 x,
@@ -777,33 +613,22 @@ mod tests {
         let g = window_circuit(&WindowConfig::new("w", 300, 24), 5);
         let constraints = Device::XC3020.constraints(0.9);
         let config = FpartConfig::default();
-        let prev = partition_multilevel(&g, constraints, &config, &MultilevelConfig::default())
-            .expect("baseline");
+        let prev =
+            multilevel(&g, constraints, &config, &MultilevelConfig::default()).expect("baseline");
         let script = small_edit(&g);
         let edited = apply_script(&g, &script).expect("applies");
-        let sequential = repartition_eco_restarts(
-            &edited.graph,
-            constraints,
-            &config,
-            &EcoConfig::default(),
-            &prev.assignment,
-            &edited.node_map,
-            3,
-            1,
-        )
-        .unwrap();
+        let restarts = |threads| {
+            let method = RunMethod::Eco {
+                eco: EcoConfig::default(),
+                previous: &prev.assignment,
+                node_map: &edited.node_map,
+            };
+            let spec = RunSpec { restarts: 3, threads, ..RunSpec::new(method, config.clone()) };
+            run(&edited.graph, constraints, &spec, &mut Observer::none()).unwrap().outcome
+        };
+        let sequential = restarts(1);
         for threads in [2, 4] {
-            let parallel = repartition_eco_restarts(
-                &edited.graph,
-                constraints,
-                &config,
-                &EcoConfig::default(),
-                &prev.assignment,
-                &edited.node_map,
-                3,
-                threads,
-            )
-            .unwrap();
+            let parallel = restarts(threads);
             assert_eq!(sequential.assignment, parallel.assignment, "threads={threads}");
             assert_eq!(sequential.cut, parallel.cut);
         }
@@ -814,21 +639,21 @@ mod tests {
         let g = window_circuit(&WindowConfig::new("w", 120, 12), 7);
         let constraints = Device::XC3020.constraints(0.9);
         let config = FpartConfig::default();
-        let prev = partition_multilevel(&g, constraints, &config, &MultilevelConfig::default())
-            .expect("baseline");
-        let run = repartition_edited(
+        let prev =
+            multilevel(&g, constraints, &config, &MultilevelConfig::default()).expect("baseline");
+        let (_, report) = repair_edited(
             &g,
             &EditScript::default(),
             constraints,
             &config,
-            &EcoConfig::default(),
             &prev.assignment,
+            &mut Observer::none(),
         )
         .expect("repairs");
-        assert!(run.report.repaired);
-        assert_eq!(run.report.placed, 0);
-        assert_eq!(run.report.removed, 0);
-        assert!((run.report.churn - 0.0).abs() < f64::EPSILON);
-        assert!(run.report.outcome.feasible);
+        assert!(report.repaired);
+        assert_eq!(report.placed, 0);
+        assert_eq!(report.removed, 0);
+        assert!((report.churn - 0.0).abs() < f64::EPSILON);
+        assert!(report.outcome.feasible);
     }
 }

@@ -22,6 +22,21 @@
 //! * a scheduled set of improvement passes per peeling iteration
 //!   ([`driver`]).
 //!
+//! # Entry points
+//!
+//! Five functions run the engine:
+//!
+//! * [`partition`] — one FPART peel, the quickstart below;
+//! * [`partition_observed`] — the same, recording into an [`Observer`]
+//!   (attach a [`Trace`] sink for the full improvement schedule);
+//! * [`partition_multilevel_observed`] — one n-level V-cycle;
+//! * [`repartition_eco_observed`] — one ECO repair, with its
+//!   [`EcoReport`];
+//! * [`run()`] — everything else: any of the three methods
+//!   ([`RunMethod`]) as a panic-isolated, thread-count-invariant restart
+//!   search, observed or not, checkpointed or resumed, described by one
+//!   [`RunSpec`]. The CLI, the server and the benches all call it.
+//!
 //! # Quickstart
 //!
 //! ```
@@ -83,6 +98,7 @@ pub mod parallel;
 pub mod persist;
 pub mod refine;
 pub mod report;
+pub mod search;
 pub mod server;
 pub mod stack;
 pub mod state;
@@ -98,21 +114,14 @@ pub use budget::{
     RunBudget,
 };
 pub use checkpoint::{
-    fingerprint_run, partition_restarts_durable, read_checkpoint, write_checkpoint, Checkpoint,
-    CheckpointWriter, ReadCheckpointError, SavedRestart,
+    fingerprint_run, read_checkpoint, write_checkpoint, Checkpoint, CheckpointWriter,
+    ReadCheckpointError, SavedRestart,
 };
 pub use config::FpartConfig;
 pub use cost::{classify, CostEvaluator, FeasibilityClass, KeyTracker, SolutionKey};
 pub use direct::{partition_direct, DirectConfig};
-pub use driver::{
-    partition, partition_observed, partition_restarts, partition_restarts_observed,
-    partition_traced, BlockReport, FailedRestart, PartitionError, PartitionOutcome, RestartsReport,
-};
-pub use eco::{
-    repartition_eco, repartition_eco_observed, repartition_eco_restarts,
-    repartition_eco_restarts_observed, repartition_edited, repartition_edited_observed, EcoConfig,
-    EcoError, EcoReport, EcoRun,
-};
+pub use driver::{partition, partition_observed, BlockReport, PartitionError, PartitionOutcome};
+pub use eco::{repartition_eco_observed, EcoConfig, EcoReport, EcoSummary};
 pub use engine::{
     improve, improve_cells_metered, improve_metered, ImproveContext, ImproveStats, NO_REMAINDER,
 };
@@ -121,16 +130,14 @@ pub use initial::{bipartition_remainder, InitialMethod};
 pub use interconnect::InterconnectReport;
 pub use json::{Json, JsonParseError};
 pub use memo::{CacheStats, CachedHierarchy, HierarchyKey, MemoConfig, MemoSolution, MemoStore};
-pub use multilevel::{
-    partition_multilevel, partition_multilevel_observed, partition_multilevel_restarts,
-    partition_multilevel_restarts_observed, split_thread_budget, MultilevelConfig,
-};
+pub use multilevel::{partition_multilevel_observed, split_thread_budget, MultilevelConfig};
 pub use obs::{
     event_to_json, Counter, EventSink, FanoutSink, Heartbeat, JsonlSink, Metrics, Observer,
     SpanEvent, SpanKind, SpanRecord, SpanStack, SpanStats, TimeStat, SCHEMA_VERSION,
 };
 pub use persist::{write_atomic, AtomicFile};
 pub use report::QualityReport;
+pub use search::{run, FailedRestart, RestartsReport, RunMethod, RunSpec};
 pub use server::{RunParams, Server, ServerConfig};
 pub use state::PartitionState;
 pub use trace::{ImproveKind, Trace, TraceEvent};

@@ -35,13 +35,12 @@ use crate::budget::{BudgetTracker, Completion};
 use crate::config::FpartConfig;
 use crate::cost::CostEvaluator;
 use crate::driver::{
-    partition_with_tracker, restart_config, search_restarts, search_restarts_observed,
-    PartitionError, PartitionOutcome, RestartsReport,
+    assemble_outcome, check_node_sizes, empty_outcome, partition_with_tracker, PartitionError,
+    PartitionOutcome,
 };
 use crate::obs::{Counter, Metrics, Observer, SpanKind, SpanStats};
 use crate::refine::{refine_boundary_metered, RefineConfig};
 use crate::state::PartitionState;
-use crate::trace::Trace;
 
 /// Options of the n-level multilevel mode.
 #[derive(Debug, Clone, PartialEq)]
@@ -65,9 +64,9 @@ pub struct MultilevelConfig {
     pub seed: u64,
     /// Intra-run worker threads for the parallel stages of one V-cycle
     /// (heavy-edge matching proposals, net projection, boundary pair
-    /// jobs). The partition is bit-identical for every value; restart
-    /// wrappers derive it from their total thread budget. Clamped to at
-    /// least 1.
+    /// jobs). The partition is bit-identical for every value;
+    /// [`crate::run`] overrides it with its share of
+    /// [`crate::RunSpec::threads`]. Clamped to at least 1.
     pub threads: usize,
     /// Estimated-byte cap for hierarchy construction. When the next
     /// coarsening level would exceed it, coarsening stops at the current
@@ -144,47 +143,11 @@ pub(crate) fn run_graph_key(graph: &Hypergraph, ml: &MultilevelConfig) -> Option
 /// Partitions `graph` through the n-level multilevel flow: coarsen to
 /// the configured floor, run FPART on the coarsest hypergraph, then
 /// project the solution back one level at a time with boundary-only FM
-/// refinement at every level.
-///
-/// # Errors
-///
-/// Propagates [`PartitionError`] from the coarse-level FPART run; an
-/// oversized *cluster* cannot occur (the cap keeps clusters below
-/// `S_MAX`), but an oversized original node still errors.
-///
-/// # Example
-///
-/// ```
-/// use fpart_core::{partition_multilevel, FpartConfig, MultilevelConfig};
-/// use fpart_device::Device;
-/// use fpart_hypergraph::gen::{window_circuit, WindowConfig};
-///
-/// # fn main() -> Result<(), fpart_core::PartitionError> {
-/// let circuit = window_circuit(&WindowConfig::new("demo", 300, 24), 1);
-/// let outcome = partition_multilevel(
-///     &circuit,
-///     Device::XC3020.constraints(0.9),
-///     &FpartConfig::default(),
-///     &MultilevelConfig::default(),
-/// )?;
-/// assert!(outcome.feasible);
-/// # Ok(())
-/// # }
-/// ```
-pub fn partition_multilevel(
-    graph: &Hypergraph,
-    constraints: DeviceConstraints,
-    config: &FpartConfig,
-    ml: &MultilevelConfig,
-) -> Result<PartitionOutcome, PartitionError> {
-    let mut obs = Observer::none();
-    partition_multilevel_observed(graph, constraints, config, ml, &mut obs)
-}
-
-/// [`partition_multilevel`] with metrics and driver events recorded into
-/// the given [`Observer`] — coarsening depth, per-level boundary
+/// refinement at every level. Metrics and driver events are recorded
+/// into the given [`Observer`] — coarsening depth, per-level boundary
 /// refinement timing ([`crate::ImproveKind::Boundary`]), and everything
-/// the coarse-level driver records.
+/// the coarse-level driver records. Use [`crate::run`] for restarts,
+/// the solution memo and checkpoints.
 ///
 /// The whole V-cycle runs under **one** [`BudgetTracker`] built from
 /// `config.budget`: the coarse partition's passes, every level's
@@ -195,7 +158,30 @@ pub fn partition_multilevel(
 ///
 /// # Errors
 ///
-/// See [`partition_multilevel`].
+/// Propagates [`PartitionError`] from the coarse-level FPART run; an
+/// oversized *cluster* cannot occur (the cap keeps clusters below
+/// `S_MAX`), but an oversized original node still errors.
+///
+/// # Example
+///
+/// ```
+/// use fpart_core::{partition_multilevel_observed, FpartConfig, MultilevelConfig, Observer};
+/// use fpart_device::Device;
+/// use fpart_hypergraph::gen::{window_circuit, WindowConfig};
+///
+/// # fn main() -> Result<(), fpart_core::PartitionError> {
+/// let circuit = window_circuit(&WindowConfig::new("demo", 300, 24), 1);
+/// let outcome = partition_multilevel_observed(
+///     &circuit,
+///     Device::XC3020.constraints(0.9),
+///     &FpartConfig::default(),
+///     &MultilevelConfig::default(),
+///     &mut Observer::none(),
+/// )?;
+/// assert!(outcome.feasible);
+/// # Ok(())
+/// # }
+/// ```
 pub fn partition_multilevel_observed(
     graph: &Hypergraph,
     constraints: DeviceConstraints,
@@ -223,28 +209,9 @@ pub(crate) fn partition_multilevel_observed_keyed(
     let start = Instant::now();
 
     if graph.node_count() == 0 {
-        return Ok(PartitionOutcome {
-            assignment: Vec::new(),
-            blocks: Vec::new(),
-            device_count: 0,
-            lower_bound: 0,
-            feasible: true,
-            cut: 0,
-            iterations: 0,
-            improve_calls: 0,
-            total_moves: 0,
-            elapsed: start.elapsed(),
-            trace: Trace::disabled(),
-            metrics: obs.metrics.clone(),
-            completion: Completion::Complete,
-        });
+        return Ok(empty_outcome(graph, constraints, start, obs));
     }
-    for v in graph.node_ids() {
-        let size = graph.node_size(v);
-        if u64::from(size) > constraints.s_max {
-            return Err(PartitionError::OversizedNode { node: v, size, s_max: constraints.s_max });
-        }
-    }
+    check_node_sizes(graph, constraints)?;
 
     // One budget tracker for the whole V-cycle (a direct call counts as
     // restart 0 for fault-plan targeting, like the flat driver).
@@ -354,7 +321,7 @@ pub(crate) fn partition_multilevel_observed_keyed(
     obs.metrics.add(Counter::FaultsInjected, tracker.faults_injected() - faults_after_coarse);
 
     let state = PartitionState::from_assignment(graph, assignment, k);
-    Ok(crate::driver::assemble_outcome(
+    Ok(assemble_outcome(
         graph,
         &state,
         constraints,
@@ -363,7 +330,6 @@ pub(crate) fn partition_multilevel_observed_keyed(
         improve_calls,
         total_moves,
         start.elapsed(),
-        Trace::disabled(),
         obs.metrics.clone(),
         {
             let mut completion = tracker.completion().worst(coarse_outcome.completion);
@@ -482,60 +448,32 @@ pub fn split_thread_budget(threads: usize, restarts: usize) -> (usize, usize) {
     (outer, inner)
 }
 
-/// Runs [`partition_multilevel`] `restarts` times with consecutive seed
-/// offsets (both the driver seed and the matching seed diversify),
-/// optionally across scoped worker threads, and returns the best
-/// outcome under the same reduction as [`crate::partition_restarts`] —
-/// reduced in restart order, so the result is **bit-identical for every
-/// thread count**. Restarts are panic-isolated exactly like the flat
-/// search.
-///
-/// `threads` is the *total* worker budget: it is split by
-/// [`split_thread_budget`] between concurrent restarts and each
-/// restart's intra-run stages (parallel matching proposals, net
-/// projection, boundary pair jobs), overriding `ml.threads`.
-///
-/// # Errors
-///
-/// Returns [`PartitionError::InvalidConfig`] when `restarts` or
-/// `threads` is zero, the first restart's typed error when every restart
-/// fails, and [`PartitionError::RestartPanicked`] when every restart
-/// panicked.
-pub fn partition_multilevel_restarts(
+/// One multilevel restart behind the solution memo: a verified hit
+/// replays the stored solution ([`Counter::MemoWarmStarts`]), a miss runs
+/// the V-cycle and stores a `Complete` result. Only restarts with no
+/// external budget of any kind are memoized (their result is a pure
+/// function of the key). Without a store this is exactly the V-cycle.
+pub(crate) fn memoized_multilevel(
     graph: &Hypergraph,
     constraints: DeviceConstraints,
-    config: &FpartConfig,
-    ml: &MultilevelConfig,
-    restarts: usize,
-    threads: usize,
+    cfg: &FpartConfig,
+    mlc: &MultilevelConfig,
+    obs: &mut Observer<'_>,
+    gk: Option<&GraphKey>,
 ) -> Result<PartitionOutcome, PartitionError> {
-    let (outer, inner) = split_thread_budget(threads, restarts);
-    let gk = run_graph_key(graph, ml);
-    search_restarts(restarts, if threads == 0 { 0 } else { outer }, &|i| {
-        let cfg = restart_config(config, i);
-        let mlc =
-            MultilevelConfig { seed: ml.seed.wrapping_add(i as u64), threads: inner, ..ml.clone() };
-        let memo_key = restart_memo_key(gk.as_ref(), graph, constraints, &cfg, &mlc);
-        if let (Some(store), Some(key)) = (mlc.memo.as_deref(), memo_key) {
-            if let Some(sol) = store.lookup_solution(key) {
-                if let Some((result, _metrics)) = replay_memo_solution(graph, constraints, &sol, i)
-                {
-                    return result;
-                }
+    let memo_key = restart_memo_key(gk, graph, constraints, cfg, mlc);
+    if let (Some(store), Some(key)) = (mlc.memo.as_deref(), memo_key) {
+        if let Some(sol) = store.lookup_solution(key) {
+            if let Some(mut outcome) = replay_memo_solution(graph, constraints, &sol) {
+                obs.metrics.bump(Counter::MemoWarmStarts);
+                outcome.metrics = obs.metrics.clone();
+                return Ok(outcome);
             }
         }
-        let mut obs = Observer::none();
-        let result = partition_multilevel_observed_keyed(
-            graph,
-            constraints,
-            &cfg,
-            &mlc,
-            &mut obs,
-            gk.as_ref(),
-        );
-        record_memo_solution(&mlc, memo_key, &result);
-        result
-    })
+    }
+    let result = partition_multilevel_observed_keyed(graph, constraints, cfg, mlc, obs, gk);
+    record_memo_solution(mlc, memo_key, &result);
+    result
 }
 
 /// The solution-memo key for one restart's effective configs, or `None`
@@ -584,76 +522,6 @@ fn record_memo_solution(
     }
 }
 
-/// [`partition_multilevel_restarts`] with per-restart metrics recording
-/// and a deterministic aggregate, mirroring
-/// [`crate::partition_restarts_observed`].
-///
-/// # Errors
-///
-/// Same contract as [`partition_multilevel_restarts`].
-pub fn partition_multilevel_restarts_observed(
-    graph: &Hypergraph,
-    constraints: DeviceConstraints,
-    config: &FpartConfig,
-    ml: &MultilevelConfig,
-    restarts: usize,
-    threads: usize,
-) -> Result<RestartsReport, PartitionError> {
-    let (outer, inner) = split_thread_budget(threads, restarts);
-    let gk = run_graph_key(graph, ml);
-    search_restarts_observed(restarts, if threads == 0 { 0 } else { outer }, &|i| {
-        observed_multilevel_restart_job(graph, constraints, config, ml, inner, i, gk.as_ref())
-    })
-}
-
-/// Runs restart `i` of the multilevel observed search exactly as
-/// [`partition_multilevel_restarts_observed`] would: diversified driver
-/// and matching seeds, `inner` intra-run threads, enabled metrics
-/// registry, restart span. Shared with the checkpointing search so a
-/// resumed run replays the identical per-restart computation.
-pub(crate) fn observed_multilevel_restart_job(
-    graph: &Hypergraph,
-    constraints: DeviceConstraints,
-    config: &FpartConfig,
-    ml: &MultilevelConfig,
-    inner: usize,
-    i: usize,
-    gk: Option<&GraphKey>,
-) -> (Result<PartitionOutcome, PartitionError>, Metrics) {
-    let cfg = restart_config(config, i);
-    let mlc =
-        MultilevelConfig { seed: ml.seed.wrapping_add(i as u64), threads: inner, ..ml.clone() };
-    // Solution memo: only restarts with no external budget of any kind
-    // qualify (their result is a pure function of the key), and a hit
-    // is verified against the live graph before it is trusted.
-    let memo_key = restart_memo_key(gk, graph, constraints, &cfg, &mlc);
-    if let (Some(store), Some(key)) = (mlc.memo.as_deref(), memo_key) {
-        if let Some(sol) = store.lookup_solution(key) {
-            if let Some(hit) = replay_memo_solution(graph, constraints, &sol, i) {
-                return hit;
-            }
-        }
-    }
-    let mut obs = Observer::new(Metrics::enabled(), None);
-    obs.metrics.set_span_lane(i as u32);
-    obs.metrics.span_open(SpanKind::Restart, 0);
-    let result = partition_multilevel_observed_keyed(graph, constraints, &cfg, &mlc, &mut obs, gk);
-    let mut metrics = obs.metrics;
-    metrics.bump(Counter::Runs);
-    let span_stats = match &result {
-        Ok(outcome) => SpanStats {
-            nodes: graph.node_count() as u64,
-            nets: graph.net_count() as u64,
-            moves: outcome.total_moves as u64,
-            ..SpanStats::default()
-        },
-        Err(_) => SpanStats::default(),
-    };
-    metrics.span_close(span_stats);
-    record_memo_solution(&mlc, memo_key, &result);
-    (result, metrics)
-}
-
 /// Rebuilds a restart's outcome from a memoized solution, after
 /// verifying the stored assignment against the live graph (coverage,
 /// block-id range, and a full reassembly cross-check of cut,
@@ -664,8 +532,7 @@ fn replay_memo_solution(
     graph: &Hypergraph,
     constraints: DeviceConstraints,
     sol: &crate::memo::MemoSolution,
-    i: usize,
-) -> Option<(Result<PartitionOutcome, PartitionError>, Metrics)> {
+) -> Option<PartitionOutcome> {
     let start = Instant::now();
     if sol.assignment.len() != graph.node_count()
         || sol.device_count == 0
@@ -673,13 +540,9 @@ fn replay_memo_solution(
     {
         return None;
     }
-    let mut metrics = Metrics::enabled();
-    metrics.set_span_lane(i as u32);
-    metrics.span_open(SpanKind::Restart, 0);
-    metrics.bump(Counter::MemoWarmStarts);
     let m = lower_bound(graph, constraints);
     let state = PartitionState::from_assignment(graph, sol.assignment.clone(), sol.device_count);
-    let outcome = crate::driver::assemble_outcome(
+    let outcome = assemble_outcome(
         graph,
         &state,
         constraints,
@@ -688,27 +551,16 @@ fn replay_memo_solution(
         sol.improve_calls,
         sol.total_moves,
         start.elapsed(),
-        Trace::disabled(),
-        metrics.clone(),
+        Metrics::disabled(),
         Completion::Complete,
     );
     // The reassembled outcome must agree with everything the cold
     // restart recorded; a collision shows up as a mismatch here.
-    if outcome.assignment != sol.assignment
-        || outcome.device_count != sol.device_count
-        || outcome.cut != sol.cut
-        || outcome.feasible != sol.feasible
-    {
-        return None;
-    }
-    metrics.bump(Counter::Runs);
-    metrics.span_close(SpanStats {
-        nodes: graph.node_count() as u64,
-        nets: graph.net_count() as u64,
-        moves: sol.total_moves as u64,
-        ..SpanStats::default()
-    });
-    Some((Ok(outcome), metrics))
+    (outcome.assignment == sol.assignment
+        && outcome.device_count == sol.device_count
+        && outcome.cut == sol.cut
+        && outcome.feasible == sol.feasible)
+        .then_some(outcome)
 }
 
 #[cfg(test)]
@@ -716,23 +568,45 @@ mod tests {
     use super::*;
     use crate::budget::RunBudget;
     use crate::driver::partition;
+    use crate::search::{run, RestartsReport, RunMethod, RunSpec};
     use crate::verify::verify_assignment;
     use fpart_device::Device;
     use fpart_hypergraph::gen::{find_profile, synthesize_mcnc, Technology};
     use fpart_hypergraph::gen::{window_circuit, WindowConfig};
     use std::time::Duration;
 
+    /// One unobserved V-cycle.
+    fn multilevel(
+        g: &Hypergraph,
+        constraints: DeviceConstraints,
+        config: &FpartConfig,
+        ml: &MultilevelConfig,
+    ) -> Result<PartitionOutcome, PartitionError> {
+        partition_multilevel_observed(g, constraints, config, ml, &mut Observer::none())
+    }
+
+    /// `restarts` V-cycles over `threads` workers through [`run`].
+    fn multilevel_restarts(
+        g: &Hypergraph,
+        constraints: DeviceConstraints,
+        config: &FpartConfig,
+        ml: &MultilevelConfig,
+        restarts: usize,
+        threads: usize,
+        obs: &mut Observer<'_>,
+    ) -> Result<RestartsReport, PartitionError> {
+        let method = RunMethod::Multilevel(ml.clone());
+        let spec = RunSpec { restarts, threads, ..RunSpec::new(method, config.clone()) };
+        run(g, constraints, &spec, obs)
+    }
+
     #[test]
     fn multilevel_produces_valid_feasible_partition() {
         let g = window_circuit(&WindowConfig::new("w", 400, 30), 3);
         let constraints = Device::XC3020.constraints(0.9);
-        let out = partition_multilevel(
-            &g,
-            constraints,
-            &FpartConfig::default(),
-            &MultilevelConfig::default(),
-        )
-        .expect("runs");
+        let out =
+            multilevel(&g, constraints, &FpartConfig::default(), &MultilevelConfig::default())
+                .expect("runs");
         assert_eq!(out.assignment.len(), g.node_count());
         let total: u64 = out.blocks.iter().map(|b| b.size).sum();
         assert_eq!(total, g.total_size());
@@ -747,13 +621,8 @@ mod tests {
         let g = synthesize_mcnc(p, Technology::Xc3000);
         let constraints = Device::XC3020.constraints(0.9);
         let flat = partition(&g, constraints, &FpartConfig::default()).expect("flat");
-        let ml = partition_multilevel(
-            &g,
-            constraints,
-            &FpartConfig::default(),
-            &MultilevelConfig::default(),
-        )
-        .expect("multilevel");
+        let ml = multilevel(&g, constraints, &FpartConfig::default(), &MultilevelConfig::default())
+            .expect("multilevel");
         assert!(ml.feasible);
         // Clustering may trade a little quality for speed; hold it to a
         // generous band so regressions stand out.
@@ -771,8 +640,7 @@ mod tests {
         let constraints = Device::XC3020.constraints(0.9);
         let ml_config =
             MultilevelConfig { coarsen_floor: g.node_count(), ..MultilevelConfig::default() };
-        let out = partition_multilevel(&g, constraints, &FpartConfig::default(), &ml_config)
-            .expect("runs");
+        let out = multilevel(&g, constraints, &FpartConfig::default(), &ml_config).expect("runs");
         let flat = partition(&g, constraints, &FpartConfig::default()).expect("flat");
         assert_eq!(out.device_count, flat.device_count);
         assert_eq!(out.assignment, flat.assignment);
@@ -809,7 +677,7 @@ mod tests {
         let y = b.add_node("y", 1);
         b.add_net("e", [x, y]).unwrap();
         let g = b.finish().unwrap();
-        let err = partition_multilevel(
+        let err = multilevel(
             &g,
             DeviceConstraints::new(50, 10),
             &FpartConfig::default(),
@@ -822,7 +690,7 @@ mod tests {
     #[test]
     fn empty_graph_is_trivially_feasible() {
         let g = fpart_hypergraph::HypergraphBuilder::new().finish().unwrap();
-        let out = partition_multilevel(
+        let out = multilevel(
             &g,
             DeviceConstraints::new(10, 10),
             &FpartConfig::default(),
@@ -842,7 +710,7 @@ mod tests {
             budget: RunBudget { deadline: Some(Duration::ZERO), ..RunBudget::default() },
             ..FpartConfig::default()
         };
-        let out = partition_multilevel(&g, constraints, &config, &MultilevelConfig::default())
+        let out = multilevel(&g, constraints, &config, &MultilevelConfig::default())
             .expect("degrades, does not error");
         assert_eq!(out.completion, Completion::DeadlineExpired);
         // The assignment still covers the whole input graph and is
@@ -888,8 +756,8 @@ mod tests {
 
         // An unlimited budget is bit-identical to the plain entry point.
         let unlimited = MultilevelConfig { coarsen_floor: 128, ..MultilevelConfig::default() };
-        let a = partition_multilevel(&g, constraints, &FpartConfig::default(), &unlimited).unwrap();
-        let b = partition_multilevel(
+        let a = multilevel(&g, constraints, &FpartConfig::default(), &unlimited).unwrap();
+        let b = multilevel(
             &g,
             constraints,
             &FpartConfig::default(),
@@ -909,11 +777,13 @@ mod tests {
         let constraints = Device::XC3020.constraints(0.9);
         let config = FpartConfig::default();
         let ml = MultilevelConfig { coarsen_floor: 64, ..MultilevelConfig::default() };
+        let none = &mut Observer::none();
         let sequential =
-            partition_multilevel_restarts(&g, constraints, &config, &ml, 3, 1).unwrap();
+            multilevel_restarts(&g, constraints, &config, &ml, 3, 1, none).unwrap().outcome;
         for threads in [2, 4] {
-            let parallel =
-                partition_multilevel_restarts(&g, constraints, &config, &ml, 3, threads).unwrap();
+            let parallel = multilevel_restarts(&g, constraints, &config, &ml, 3, threads, none)
+                .unwrap()
+                .outcome;
             assert_eq!(sequential.assignment, parallel.assignment, "threads={threads}");
             assert_eq!(sequential.device_count, parallel.device_count);
             assert_eq!(sequential.cut, parallel.cut);
@@ -924,13 +794,14 @@ mod tests {
     fn multilevel_restarts_validate_search_parameters() {
         let g = window_circuit(&WindowConfig::new("w", 60, 8), 1);
         let constraints = Device::XC3020.constraints(0.9);
-        let err = partition_multilevel_restarts(
+        let err = multilevel_restarts(
             &g,
             constraints,
             &FpartConfig::default(),
             &MultilevelConfig::default(),
             0,
             1,
+            &mut Observer::none(),
         )
         .unwrap_err();
         assert!(matches!(err, PartitionError::InvalidConfig { .. }));
@@ -940,13 +811,14 @@ mod tests {
     fn observed_restarts_totals_are_per_restart_sums() {
         let g = window_circuit(&WindowConfig::new("w", 300, 16), 3);
         let constraints = Device::XC3020.constraints(0.9);
-        let report = partition_multilevel_restarts_observed(
+        let report = multilevel_restarts(
             &g,
             constraints,
             &FpartConfig::default(),
             &MultilevelConfig { coarsen_floor: 64, ..MultilevelConfig::default() },
             3,
             2,
+            &mut Observer::new(Metrics::enabled(), None),
         )
         .unwrap();
         assert_eq!(report.per_restart.len(), 3);

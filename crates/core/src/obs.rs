@@ -9,8 +9,8 @@
 //!   [`ImproveKind`] monotonic wall-time histograms ([`TimeStat`]).
 //!   A disabled registry records nothing and costs **one predictable
 //!   branch per event, no heap allocation, no clock reads** — the same
-//!   discipline as [`Trace`]'s lazy recording.
-//! * [`EventSink`] — the generalization of [`Trace`]: anything that can
+//!   discipline as [`Trace`](crate::Trace)'s lazy recording.
+//! * [`EventSink`] — the generalization of [`Trace`](crate::Trace): anything that can
 //!   consume driver [`TraceEvent`]s. `Trace` itself is one sink;
 //!   [`JsonlSink`] streams events as JSON Lines; [`FanoutSink`]
 //!   broadcasts to several sinks.
@@ -1064,6 +1064,11 @@ impl<'s> Observer<'s> {
     #[must_use]
     pub fn new(metrics: Metrics, sink: Option<&'s mut dyn EventSink>) -> Self {
         Observer { metrics, heartbeat: Heartbeat::disabled(), sink }
+    }
+
+    /// Whether an enabled event sink is attached.
+    pub(crate) fn has_sink(&self) -> bool {
+        self.sink.as_ref().is_some_and(|sink| sink.is_enabled())
     }
 
     /// Emits an event to the sink, constructing it lazily — nothing is

@@ -149,10 +149,15 @@ pub fn run_indexed_caught<T: Send>(
     threads: usize,
     job: &(dyn Fn(usize) -> T + Sync),
 ) -> Vec<Result<T, JobPanic>> {
-    run_indexed(count, threads, &|i| {
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| job(i)))
-            .map_err(|payload| JobPanic { index: i, message: panic_message(payload.as_ref()) })
-    })
+    run_indexed(count, threads, &|i| catch_job(i, || job(i)))
+}
+
+/// Runs job `index` inline on the caller's thread, turning a panic into
+/// `Err(JobPanic)` — the isolation of [`run_indexed_caught`] for a job
+/// that needs the caller's non-`Sync` state.
+pub(crate) fn catch_job<T>(index: usize, job: impl FnOnce() -> T) -> Result<T, JobPanic> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(job))
+        .map_err(|payload| JobPanic { index, message: panic_message(payload.as_ref()) })
 }
 
 /// [`run_indexed_metered`] with per-job panic isolation.

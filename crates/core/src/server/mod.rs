@@ -11,8 +11,7 @@
 //! Guarantees:
 //!
 //! * **Determinism** — a protocol `partition` is bit-identical to the
-//!   library's [`crate::partition_multilevel_restarts`] (or
-//!   [`crate::partition_restarts`]) with the same seed, restarts, and
+//!   library's [`crate::run`] with the same method, seed, restarts, and
 //!   config, at any thread count; streaming progress does not perturb
 //!   the search.
 //! * **Typed failure** — malformed lines, unknown commands, unknown
@@ -49,14 +48,11 @@ use fpart_hypergraph::{
 
 use crate::budget::{CancelToken, Completion, RunBudget};
 use crate::config::FpartConfig;
-use crate::driver::{partition_observed, partition_restarts_observed, RestartsReport};
-use crate::eco::{repartition_eco_restarts_observed, EcoConfig};
-use crate::multilevel::{
-    partition_multilevel_observed, partition_multilevel_restarts_observed, split_thread_budget,
-    MultilevelConfig,
-};
+use crate::eco::EcoConfig;
+use crate::multilevel::MultilevelConfig;
 use crate::obs::{event_to_json, Counter, EventSink, Heartbeat, Metrics, Observer};
 use crate::persist::write_atomic;
+use crate::search::{run, RestartsReport, RunMethod, RunSpec};
 use crate::trace::TraceEvent;
 
 /// Tuning knobs of a [`Server`].
@@ -515,6 +511,12 @@ impl Server {
         (cfg, threads)
     }
 
+    /// The V-cycle every request runs: defaults plus the shared memo
+    /// store.
+    fn multilevel_config(&self) -> MultilevelConfig {
+        MultilevelConfig { memo: self.config.memo.clone(), ..MultilevelConfig::default() }
+    }
+
     fn run_partition<W: Write + Send>(
         &self,
         id: &str,
@@ -531,56 +533,22 @@ impl Server {
         let (cfg, threads) = self.budgeted_config(params, cancel);
         let restarts = params.restarts;
         let started = Instant::now();
-        // With one restart a streamed run is bit-identical to the
-        // restarts path: the per-restart seed offset is zero at index
-        // 0 and the intra-run thread budget is the same split.
-        let report = match (params.progress && restarts == 1, out) {
-            (true, Some(out)) => {
-                let mut sink = WireSink { out, id };
-                let mut obs = Observer::new(Metrics::enabled(), Some(&mut sink));
-                obs.heartbeat = Heartbeat::every(Duration::from_millis(self.config.heartbeat_ms));
-                let outcome = match params.method {
-                    Method::Multilevel => {
-                        let (_, inner) = split_thread_budget(threads, 1);
-                        let ml = MultilevelConfig {
-                            threads: inner,
-                            memo: self.config.memo.clone(),
-                            ..MultilevelConfig::default()
-                        };
-                        partition_multilevel_observed(&graph, constraints, &cfg, &ml, &mut obs)
-                    }
-                    Method::Fpart => partition_observed(&graph, constraints, &cfg, &mut obs),
-                }
-                .map_err(run_failed)?;
-                let totals = obs.metrics;
-                let completion = outcome.completion;
-                RestartsReport {
-                    outcome,
-                    totals: totals.clone(),
-                    per_restart: vec![totals],
-                    completion,
-                    failed: Vec::new(),
-                }
-            }
-            _ => match params.method {
-                Method::Multilevel => partition_multilevel_restarts_observed(
-                    &graph,
-                    constraints,
-                    &cfg,
-                    &MultilevelConfig {
-                        memo: self.config.memo.clone(),
-                        ..MultilevelConfig::default()
-                    },
-                    restarts,
-                    threads,
-                )
-                .map_err(run_failed)?,
-                Method::Fpart => {
-                    partition_restarts_observed(&graph, constraints, &cfg, restarts, threads)
-                        .map_err(run_failed)?
-                }
-            },
+        let method = match params.method {
+            Method::Multilevel => RunMethod::Multilevel(self.multilevel_config()),
+            Method::Fpart => RunMethod::Flat,
         };
+        let spec = RunSpec { restarts, threads, ..RunSpec::new(method, cfg) };
+        // Progress streams only from a single restart (heartbeats are
+        // per-run); the sink never changes the result.
+        let mut sink =
+            out.filter(|_| params.progress && restarts == 1).map(|out| WireSink { out, id });
+        let streaming = sink.is_some();
+        let mut obs =
+            Observer::new(Metrics::enabled(), sink.as_mut().map(|s| s as &mut dyn EventSink));
+        if streaming {
+            obs.heartbeat = Heartbeat::every(Duration::from_millis(self.config.heartbeat_ms));
+        }
+        let report = run(&graph, constraints, &spec, &mut obs).map_err(run_failed)?;
         let elapsed_ms = started.elapsed().as_millis();
         if let Some(path) = &params.output {
             write_assignment_atomic(path, &graph, &report.outcome)?;
@@ -623,24 +591,14 @@ impl Server {
         // the edit's XOR delta instead of an O(pins) rehash.
         let fp_after = fp_before ^ edited.fingerprint_delta;
         debug_assert_eq!(fp_after, fingerprint_graph(&edited.graph));
-        let eco = EcoConfig {
-            multilevel: MultilevelConfig {
-                memo: self.config.memo.clone(),
-                ..MultilevelConfig::default()
-            },
-            ..EcoConfig::default()
+        let method = RunMethod::Eco {
+            eco: EcoConfig { multilevel: self.multilevel_config(), ..EcoConfig::default() },
+            previous: &previous,
+            node_map: &edited.node_map,
         };
-        let report = repartition_eco_restarts_observed(
-            &edited.graph,
-            constraints,
-            &cfg,
-            &eco,
-            &previous,
-            &edited.node_map,
-            params.restarts,
-            threads,
-        )
-        .map_err(run_failed)?;
+        let spec = RunSpec { restarts: params.restarts, threads, ..RunSpec::new(method, cfg) };
+        let mut obs = Observer::new(Metrics::enabled(), None);
+        let report = run(&edited.graph, constraints, &spec, &mut obs).map_err(run_failed)?;
         let elapsed_ms = started.elapsed().as_millis();
         let edited_graph = Arc::new(edited.graph);
         if let Some(path) = &params.output {

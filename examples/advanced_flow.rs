@@ -7,7 +7,10 @@
 //! ```
 
 use fpart_baselines::replicate;
-use fpart_core::{partition, partition_multilevel, FpartConfig, MultilevelConfig, QualityReport};
+use fpart_core::{
+    partition, partition_multilevel_observed, FpartConfig, MultilevelConfig, Observer,
+    QualityReport,
+};
 use fpart_device::fit::{default_price_list, fit_blocks};
 use fpart_device::Device;
 use fpart_hypergraph::gen::{find_profile, synthesize_mcnc, Technology};
@@ -24,11 +27,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 2. Multilevel: coarsen, partition, refine — faster, close quality.
     let start = std::time::Instant::now();
-    let ml = partition_multilevel(
+    let ml = partition_multilevel_observed(
         &circuit,
         constraints,
         &FpartConfig::default(),
         &MultilevelConfig::default(),
+        &mut Observer::none(),
     )?;
     println!("multilevel FPART ({:.2?}):", start.elapsed());
     println!("{}\n", QualityReport::new(&ml, constraints));

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
-# Local CI gate: formatting, lints, release build, tests, parser fuzz,
-# degradation smoke, kill-resume durability gate, quality-regression
-# gate, observability smoke, memory gate (Linux), partition-server
-# smoke, smoke bench.
+# Local CI gate: formatting, lints, rustdoc links, release build, tests,
+# parser fuzz, degradation smoke, kill-resume durability gate,
+# quality-regression gate, observability smoke, memory gate (Linux),
+# partition-server smoke, smoke bench.
 #
 # Usage: scripts/ci.sh [--skip-bench]
 #
@@ -31,6 +31,11 @@ cargo fmt --all --check
 
 step "cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
+
+step "cargo doc (deny warnings)"
+# Every intra-doc link must resolve: a renamed or deleted item leaves a
+# dangling link that only rustdoc reports.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 
 step "cargo build --release"
 cargo build --release --workspace

@@ -6,9 +6,9 @@
 use std::path::PathBuf;
 
 use fpart_core::{
-    fingerprint_run, partition_restarts_durable, read_checkpoint, write_checkpoint, AtomicFile,
-    Checkpoint, CheckpointWriter, Counter, FpartConfig, MultilevelConfig, ReadCheckpointError,
-    SCHEMA_VERSION,
+    fingerprint_run, read_checkpoint, run, write_checkpoint, AtomicFile, Checkpoint,
+    CheckpointWriter, Counter, FpartConfig, Metrics, MultilevelConfig, Observer, PartitionError,
+    ReadCheckpointError, RestartsReport, RunMethod, RunSpec, SCHEMA_VERSION,
 };
 use fpart_device::DeviceConstraints;
 use fpart_hypergraph::gen::{window_circuit, WindowConfig};
@@ -26,6 +26,23 @@ fn device() -> DeviceConstraints {
     DeviceConstraints::new(20, 24)
 }
 
+/// Runs a metered restart search on [`device`] through [`run`],
+/// optionally resumed and checkpointed.
+fn durable(
+    graph: &Hypergraph,
+    config: &FpartConfig,
+    ml: Option<&MultilevelConfig>,
+    restarts: usize,
+    threads: usize,
+    resume: Option<&Checkpoint>,
+    writer: Option<&CheckpointWriter>,
+) -> Result<RestartsReport, PartitionError> {
+    let method = ml.map_or(RunMethod::Flat, |ml| RunMethod::Multilevel(ml.clone()));
+    let spec =
+        RunSpec { restarts, threads, resume, writer, ..RunSpec::new(method, config.clone()) };
+    run(graph, device(), &spec, &mut Observer::new(Metrics::enabled(), None))
+}
+
 /// Runs the durable search end to end with a live [`CheckpointWriter`]
 /// and returns the final on-disk checkpoint (every restart completed).
 fn full_checkpoint(
@@ -35,11 +52,9 @@ fn full_checkpoint(
     restarts: usize,
     dir: &std::path::Path,
 ) -> Checkpoint {
-    let fp = fingerprint_run(graph, device(), config, ml, restarts);
     let path = dir.join("full.ckpt");
     let writer = CheckpointWriter::spawn(path.clone(), std::time::Duration::ZERO);
-    partition_restarts_durable(graph, device(), config, ml, restarts, 1, fp, None, Some(&writer))
-        .expect("search succeeds");
+    durable(graph, config, ml, restarts, 1, None, Some(&writer)).expect("search succeeds");
     let writes = writer.finish().expect("writer flushes");
     assert!(writes >= 1, "at least the final snapshot must hit disk");
     let checkpoint = read_checkpoint(&path).expect("final checkpoint parses");
@@ -68,10 +83,9 @@ proptest! {
         let config = FpartConfig::default();
         let ml_cfg = MultilevelConfig { coarsen_floor: 16, ..MultilevelConfig::default() };
         let ml = multilevel.then_some(&ml_cfg);
-        let fp = fingerprint_run(&graph, device(), &config, ml, restarts);
 
         let baseline =
-            partition_restarts_durable(&graph, device(), &config, ml, restarts, 1, fp, None, None)
+            durable(&graph, &config, ml, restarts, 1, None, None)
                 .expect("baseline search succeeds");
 
         let dir = temp_dir("kill-resume");
@@ -87,9 +101,7 @@ proptest! {
         let saved = read_checkpoint(&path).expect("round-trips");
 
         for threads in [1usize, 4] {
-            let resumed = partition_restarts_durable(
-                &graph, device(), &config, ml, restarts, threads, fp, Some(&saved), None,
-            )
+            let resumed = durable(&graph, &config, ml, restarts, threads, Some(&saved), None)
             .expect("resumed search succeeds");
             prop_assert_eq!(&resumed.outcome.assignment, &baseline.outcome.assignment);
             prop_assert_eq!(resumed.outcome.cut, baseline.outcome.cut);
@@ -231,18 +243,7 @@ fn fingerprint_mismatch_refuses_to_merge() {
         full.verify(fp_other),
         Err(ReadCheckpointError::FingerprintMismatch { found: fp, expected: fp_other })
     );
-    let err = partition_restarts_durable(
-        &other,
-        device(),
-        &config,
-        None,
-        2,
-        1,
-        fp_other,
-        Some(&full),
-        None,
-    )
-    .unwrap_err();
+    let err = durable(&other, &config, None, 2, 1, Some(&full), None).unwrap_err();
     assert!(err.to_string().contains("fingerprint"), "{err}");
 }
 
@@ -274,9 +275,7 @@ fn kill_mid_checkpoint_write_preserves_the_previous_snapshot() {
         .collect();
     assert!(leftovers.is_empty(), "no temp litter: {leftovers:?}");
 
-    let fp = fingerprint_run(&graph, device(), &config, None, 2);
-    let resumed =
-        partition_restarts_durable(&graph, device(), &config, None, 2, 1, fp, Some(&back), None)
-            .expect("resume from the surviving snapshot");
+    let resumed = durable(&graph, &config, None, 2, 1, Some(&back), None)
+        .expect("resume from the surviving snapshot");
     assert_eq!(resumed.totals.get(Counter::RestartsResumed), 2);
 }

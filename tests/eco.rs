@@ -16,7 +16,9 @@
 use std::time::Duration;
 
 use fpart_core::verify::{verify_assignment, Violation};
-use fpart_core::{repartition_eco, repartition_eco_restarts, EcoConfig, FpartConfig, RunBudget};
+use fpart_core::{
+    repartition_eco_observed, run, EcoConfig, FpartConfig, Observer, RunBudget, RunMethod, RunSpec,
+};
 use fpart_device::DeviceConstraints;
 use fpart_hypergraph::gen::{window_circuit, WindowConfig};
 use fpart_hypergraph::{apply_script, EditOp, EditScript, Hypergraph};
@@ -87,13 +89,14 @@ proptest! {
         let previous = baseline(&graph, constraints);
         let script = random_edit(&graph, removals, adds, edit_seed);
         let applied = apply_script(&graph, &script).expect("edit applies");
-        let report = repartition_eco(
+        let report = repartition_eco_observed(
             &applied.graph,
             constraints,
             &FpartConfig::default(),
             &EcoConfig::default(),
             &previous,
             &applied.node_map,
+            &mut Observer::none(),
         ).expect("repairs");
         let out = &report.outcome;
         prop_assert_eq!(out.assignment.len(), applied.graph.node_count());
@@ -116,13 +119,14 @@ proptest! {
         let previous = baseline(&graph, constraints);
         let applied = apply_script(&graph, &EditScript::default()).expect("no-op applies");
         prop_assert_eq!(applied.graph.node_count(), graph.node_count());
-        let report = repartition_eco(
+        let report = repartition_eco_observed(
             &applied.graph,
             constraints,
             &FpartConfig::default(),
             &EcoConfig::default(),
             &previous,
             &applied.node_map,
+            &mut Observer::none(),
         ).expect("repairs");
         prop_assert!(report.repaired);
         prop_assert_eq!(report.placed, 0);
@@ -148,13 +152,14 @@ proptest! {
             budget: RunBudget { deadline: Some(Duration::ZERO), ..RunBudget::default() },
             ..FpartConfig::default()
         };
-        let report = repartition_eco(
+        let report = repartition_eco_observed(
             &applied.graph,
             constraints,
             &config,
             &EcoConfig::default(),
             &previous,
             &applied.node_map,
+            &mut Observer::none(),
         ).expect("degrades, does not error");
         let out = &report.outcome;
         prop_assert_eq!(out.assignment.len(), applied.graph.node_count());
@@ -176,16 +181,13 @@ proptest! {
         let script = random_edit(&graph, removals, adds, edit_seed);
         let applied = apply_script(&graph, &script).expect("edit applies");
         let run = |threads: usize| {
-            repartition_eco_restarts(
-                &applied.graph,
-                constraints,
-                &FpartConfig::default(),
-                &EcoConfig::default(),
-                &previous,
-                &applied.node_map,
-                3,
-                threads,
-            ).expect("repairs")
+            let method = RunMethod::Eco {
+                eco: EcoConfig::default(),
+                previous: &previous,
+                node_map: &applied.node_map,
+            };
+            let spec = RunSpec { restarts: 3, threads, ..RunSpec::new(method, FpartConfig::default()) };
+            run(&applied.graph, constraints, &spec, &mut Observer::none()).expect("repairs").outcome
         };
         let sequential = run(1);
         for threads in [2usize, 4] {

@@ -4,8 +4,9 @@
 use fpart_core::bucket::GainBucket;
 use fpart_core::cost::CostEvaluator;
 use fpart_core::{
-    partition, partition_multilevel, partition_multilevel_restarts, partition_restarts, Completion,
-    FpartConfig, KeyTracker, MultilevelConfig, PartitionState, RunBudget, SolutionKey,
+    partition, partition_multilevel_observed, run, Completion, FpartConfig, KeyTracker,
+    MultilevelConfig, Observer, PartitionError, PartitionOutcome, PartitionState, RunBudget,
+    RunMethod, RunSpec, SolutionKey,
 };
 use fpart_device::DeviceConstraints;
 use fpart_hypergraph::coarsen::coarsen_to_floor;
@@ -13,6 +14,35 @@ use fpart_hypergraph::gen::{window_circuit, WindowConfig};
 use fpart_hypergraph::rng::StdRng;
 use fpart_hypergraph::{Hypergraph, HypergraphBuilder, NodeId};
 use proptest::prelude::*;
+
+/// `restarts` unobserved flat runs over `threads` workers through [`run`].
+fn flat_restarts(
+    graph: &Hypergraph,
+    constraints: DeviceConstraints,
+    config: &FpartConfig,
+    restarts: usize,
+    threads: usize,
+) -> Result<PartitionOutcome, PartitionError> {
+    let spec = RunSpec { restarts, threads, ..RunSpec::new(RunMethod::Flat, config.clone()) };
+    run(graph, constraints, &spec, &mut Observer::none()).map(|report| report.outcome)
+}
+
+/// `restarts` unobserved V-cycles over `threads` workers through [`run`].
+fn multilevel_restarts(
+    graph: &Hypergraph,
+    constraints: DeviceConstraints,
+    config: &FpartConfig,
+    ml: &MultilevelConfig,
+    restarts: usize,
+    threads: usize,
+) -> Result<PartitionOutcome, PartitionError> {
+    let spec = RunSpec {
+        restarts,
+        threads,
+        ..RunSpec::new(RunMethod::Multilevel(ml.clone()), config.clone())
+    };
+    run(graph, constraints, &spec, &mut Observer::none()).map(|report| report.outcome)
+}
 
 /// Strategy: a small random hypergraph (connected enough to be
 /// interesting, with random sizes and a few terminals).
@@ -213,8 +243,8 @@ proptest! {
         let max_node = graph.node_ids().map(|v| u64::from(graph.node_size(v))).max().unwrap_or(0);
         prop_assume!(max_node <= s_max);
         let config = FpartConfig::default();
-        let sequential = partition_restarts(&graph, constraints, &config, 3, 1);
-        let parallel = partition_restarts(&graph, constraints, &config, 3, threads);
+        let sequential = flat_restarts(&graph, constraints, &config, 3, 1);
+        let parallel = flat_restarts(&graph, constraints, &config, 3, threads);
         match (sequential, parallel) {
             (Ok(a), Ok(b)) => {
                 prop_assert_eq!(a.assignment, b.assignment);
@@ -386,9 +416,9 @@ proptest! {
         prop_assume!(max_node <= s_max);
         let config = FpartConfig::default();
         let ml = MultilevelConfig { coarsen_floor: 8, ..MultilevelConfig::default() };
-        let sequential = partition_multilevel_restarts(&graph, constraints, &config, &ml, 3, 1);
+        let sequential = multilevel_restarts(&graph, constraints, &config, &ml, 3, 1);
         let parallel =
-            partition_multilevel_restarts(&graph, constraints, &config, &ml, 3, threads);
+            multilevel_restarts(&graph, constraints, &config, &ml, 3, threads);
         match (sequential, parallel) {
             (Ok(a), Ok(b)) => {
                 prop_assert_eq!(a.assignment, b.assignment);
@@ -424,7 +454,7 @@ proptest! {
             ..FpartConfig::default()
         };
         let ml = MultilevelConfig { coarsen_floor: 4, ..MultilevelConfig::default() };
-        let out = partition_multilevel(&graph, constraints, &config, &ml);
+        let out = partition_multilevel_observed(&graph, constraints, &config, &ml, &mut Observer::none());
         match out {
             Ok(out) => {
                 // A circuit that fits one device can finish before any

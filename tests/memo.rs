@@ -13,8 +13,8 @@
 //!   cleanly and never degrade the quality of the cold result.
 
 use fpart_core::{
-    partition_multilevel_restarts, verify_assignment, FpartConfig, MemoStore, MultilevelConfig,
-    PartitionOutcome,
+    run, verify_assignment, FpartConfig, MemoStore, MultilevelConfig, Observer, PartitionError,
+    PartitionOutcome, RunMethod, RunSpec,
 };
 use fpart_device::DeviceConstraints;
 use fpart_hypergraph::gen::{
@@ -24,6 +24,23 @@ use fpart_hypergraph::gen::{
 use fpart_hypergraph::Hypergraph;
 
 use proptest::prelude::*;
+
+/// `restarts` unobserved V-cycles over `threads` workers through [`run`].
+fn multilevel_restarts(
+    graph: &Hypergraph,
+    constraints: DeviceConstraints,
+    config: &FpartConfig,
+    ml: &MultilevelConfig,
+    restarts: usize,
+    threads: usize,
+) -> Result<PartitionOutcome, PartitionError> {
+    let spec = RunSpec {
+        restarts,
+        threads,
+        ..RunSpec::new(RunMethod::Multilevel(ml.clone()), config.clone())
+    };
+    run(graph, constraints, &spec, &mut Observer::none()).map(|report| report.outcome)
+}
 
 fn assert_bit_identical(cold: &PartitionOutcome, warm: &PartitionOutcome, what: &str) {
     assert_eq!(cold.assignment, warm.assignment, "{what}: assignment");
@@ -48,7 +65,7 @@ proptest! {
         let graph = window_circuit(&WindowConfig::new("memoprop", nodes, 8), 13);
         let constraints = DeviceConstraints::new(40, 24);
         let cfg = FpartConfig { seed, ..FpartConfig::default() };
-        let cold = partition_multilevel_restarts(
+        let cold = multilevel_restarts(
             &graph,
             constraints,
             &cfg,
@@ -65,7 +82,7 @@ proptest! {
                 ..MultilevelConfig::default()
             };
             for pass in ["populating", "warm"] {
-                let warm = partition_multilevel_restarts(
+                let warm = multilevel_restarts(
                     &graph, constraints, &cfg, &ml, restarts, threads,
                 )
                 .unwrap();
@@ -119,7 +136,7 @@ fn warm_started_restarts_never_degrade_on_quality_gate_circuits() {
     let restarts = 2;
     for (graph, constraints) in quality_gate_circuits() {
         let cfg = FpartConfig::default();
-        let cold = partition_multilevel_restarts(
+        let cold = multilevel_restarts(
             &graph,
             constraints,
             &cfg,
@@ -131,10 +148,8 @@ fn warm_started_restarts_never_degrade_on_quality_gate_circuits() {
 
         let store = MemoStore::shared();
         let ml = MultilevelConfig { memo: Some(store.clone()), ..MultilevelConfig::default() };
-        let populate =
-            partition_multilevel_restarts(&graph, constraints, &cfg, &ml, restarts, 2).unwrap();
-        let warm =
-            partition_multilevel_restarts(&graph, constraints, &cfg, &ml, restarts, 2).unwrap();
+        let populate = multilevel_restarts(&graph, constraints, &cfg, &ml, restarts, 2).unwrap();
+        let warm = multilevel_restarts(&graph, constraints, &cfg, &ml, restarts, 2).unwrap();
 
         let name = graph.name().to_owned();
         assert_bit_identical(&cold, &populate, &format!("{name}: populating run"));

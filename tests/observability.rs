@@ -3,7 +3,7 @@
 //! * **Non-interference** — instrumented (metrics + sinks enabled) and
 //!   uninstrumented runs produce **bit-identical partitions**, at 1 and
 //!   4 threads, over randomized circuits and devices (property test).
-//! * **Deterministic aggregation** — `partition_restarts_observed`
+//! * **Deterministic aggregation** — a metered restart search's
 //!   totals equal the field-wise per-restart sums and are invariant to
 //!   the thread count.
 //! * **Consistency** — counters cross-check against the outcome
@@ -14,13 +14,38 @@
 
 use fpart_core::fm::{bipartition_fm, bipartition_fm_metered, FmConfig};
 use fpart_core::{
-    partition, partition_observed, partition_restarts, partition_restarts_observed, Counter,
-    EventSink, FpartConfig, JsonlSink, Metrics, Observer, Trace, TraceEvent,
+    partition, partition_observed, run, Counter, EventSink, FpartConfig, JsonlSink, Metrics,
+    Observer, PartitionError, PartitionOutcome, RestartsReport, RunMethod, RunSpec, Trace,
+    TraceEvent,
 };
 use fpart_device::DeviceConstraints;
 use fpart_hypergraph::gen::{window_circuit, WindowConfig};
 use fpart_hypergraph::Hypergraph;
 use proptest::prelude::*;
+
+/// `restarts` unobserved flat runs over `threads` workers through [`run`].
+fn flat_restarts(
+    graph: &Hypergraph,
+    constraints: DeviceConstraints,
+    config: &FpartConfig,
+    restarts: usize,
+    threads: usize,
+) -> Result<PartitionOutcome, PartitionError> {
+    let spec = RunSpec { restarts, threads, ..RunSpec::new(RunMethod::Flat, config.clone()) };
+    run(graph, constraints, &spec, &mut Observer::none()).map(|report| report.outcome)
+}
+
+/// `restarts` metered flat runs over `threads` workers through [`run`].
+fn observed_restarts(
+    graph: &Hypergraph,
+    constraints: DeviceConstraints,
+    config: &FpartConfig,
+    restarts: usize,
+    threads: usize,
+) -> Result<RestartsReport, PartitionError> {
+    let spec = RunSpec { restarts, threads, ..RunSpec::new(RunMethod::Flat, config.clone()) };
+    run(graph, constraints, &spec, &mut Observer::new(Metrics::enabled(), None))
+}
 
 /// Strategy: a random circuit plus device constraints tight enough to
 /// force several peeling iterations (so the improvement schedule, the
@@ -88,8 +113,8 @@ proptest! {
 
         // Observed restarts match plain restarts at 1 and 4 threads.
         for threads in [1usize, 4] {
-            let plain = partition_restarts(&graph, constraints, &config, 4, threads);
-            let observed = partition_restarts_observed(&graph, constraints, &config, 4, threads);
+            let plain = flat_restarts(&graph, constraints, &config, 4, threads);
+            let observed = observed_restarts(&graph, constraints, &config, 4, threads);
             match (plain, observed) {
                 (Ok(a), Ok(r)) => {
                     prop_assert_eq!(&a.assignment, &r.outcome.assignment, "threads={}", threads);
@@ -107,7 +132,7 @@ proptest! {
     #[test]
     fn restart_aggregation_is_deterministic((graph, constraints) in arb_workload()) {
         let config = FpartConfig::default();
-        let Ok(reference) = partition_restarts_observed(&graph, constraints, &config, 3, 1)
+        let Ok(reference) = observed_restarts(&graph, constraints, &config, 3, 1)
         else { return Ok(()); };
 
         prop_assert_eq!(reference.per_restart.len(), 3);
@@ -118,7 +143,7 @@ proptest! {
         }
 
         for threads in [2usize, 4] {
-            let report = partition_restarts_observed(&graph, constraints, &config, 3, threads)
+            let report = observed_restarts(&graph, constraints, &config, 3, threads)
                 .expect("succeeded at 1 thread");
             prop_assert_eq!(&report.outcome.assignment, &reference.outcome.assignment);
             for counter in Counter::ALL {

@@ -25,9 +25,10 @@ use fpart_core::cost::CostEvaluator;
 use fpart_core::refine::{refine_boundary_metered, RefineConfig};
 use fpart_core::verify::{verify_assignment, Violation};
 use fpart_core::{
-    partition_multilevel, partition_multilevel_observed, repartition_eco, CancelToken, Completion,
-    Counter, EcoConfig, EventSink, FaultPlan, FpartConfig, Heartbeat, Metrics, MultilevelConfig,
-    Observer, PartitionState, RunBudget, SpanKind, TraceEvent,
+    partition_multilevel_observed, repartition_eco_observed, run, CancelToken, Completion, Counter,
+    EcoConfig, EventSink, FaultPlan, FpartConfig, Heartbeat, Metrics, MultilevelConfig, Observer,
+    PartitionError, PartitionOutcome, PartitionState, RestartsReport, RunBudget, RunMethod,
+    RunSpec, SpanKind, Trace, TraceEvent,
 };
 use fpart_device::DeviceConstraints;
 use fpart_hypergraph::gen::{clustered_circuit, window_circuit, ClusteredConfig, WindowConfig};
@@ -64,6 +65,16 @@ fn arb_workload() -> impl Strategy<Value = (Hypergraph, DeviceConstraints)> {
     )
 }
 
+/// One unobserved V-cycle.
+fn multilevel(
+    graph: &Hypergraph,
+    constraints: DeviceConstraints,
+    config: &FpartConfig,
+    ml: &MultilevelConfig,
+) -> Result<PartitionOutcome, PartitionError> {
+    partition_multilevel_observed(graph, constraints, config, ml, &mut Observer::none())
+}
+
 /// Small coarsening floor so even the proptest-sized circuits build a
 /// real hierarchy and exercise the parallel matcher at several levels.
 fn ml_config(workers: usize) -> MultilevelConfig {
@@ -80,9 +91,9 @@ proptest! {
         (graph, constraints) in arb_workload(),
     ) {
         let config = FpartConfig::default();
-        let reference = partition_multilevel(&graph, constraints, &config, &ml_config(1));
+        let reference = multilevel(&graph, constraints, &config, &ml_config(1));
         for workers in 2usize..=5 {
-            let parallel = partition_multilevel(&graph, constraints, &config, &ml_config(workers));
+            let parallel = multilevel(&graph, constraints, &config, &ml_config(workers));
             match (&reference, &parallel) {
                 (Ok(a), Ok(b)) => {
                     prop_assert_eq!(&a.assignment, &b.assignment, "workers={}", workers);
@@ -164,14 +175,14 @@ proptest! {
             multilevel: ml_config(workers),
             ..EcoConfig::default()
         };
-        let reference = repartition_eco(
+        let reference = repartition_eco_observed(
             &applied.graph, constraints, &config, &eco_at(1),
-            &previous.assignment, &applied.node_map,
+            &previous.assignment, &applied.node_map, &mut Observer::none(),
         ).expect("repairs at one worker");
         for workers in 2usize..=5 {
-            let parallel = repartition_eco(
+            let parallel = repartition_eco_observed(
                 &applied.graph, constraints, &config, &eco_at(workers),
-                &previous.assignment, &applied.node_map,
+                &previous.assignment, &applied.node_map, &mut Observer::none(),
             ).expect("repairs at any worker count");
             prop_assert_eq!(
                 &parallel.outcome.assignment,
@@ -181,6 +192,82 @@ proptest! {
             prop_assert_eq!(parallel.repaired, reference.repaired);
             prop_assert_eq!(parallel.dirty_blocks, reference.dirty_blocks);
             prop_assert_eq!(parallel.outcome.cut, reference.outcome.cut);
+        }
+    }
+}
+
+/// What [`run`] must return identically under every observer.
+type RunKey = Result<(Vec<u32>, usize, usize, Completion), PartitionError>;
+
+fn run_key(result: &Result<RestartsReport, PartitionError>) -> RunKey {
+    result.as_ref().map_err(Clone::clone).map(|report| {
+        let o = &report.outcome;
+        (o.assignment.clone(), o.cut, o.device_count, report.completion)
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// The unified entry point's contract: for the flat peel, the
+    /// V-cycle and ECO repair, at 1–3 restarts and 1 or 4 threads,
+    /// [`run`] returns the bit-identical partition and completion
+    /// whether it runs unobserved, metered, or (one restart) with a
+    /// trace sink and an unthrottled heartbeat attached — and the sink
+    /// changes none of the counter totals.
+    #[test]
+    fn run_is_bit_identical_under_every_observer(
+        (graph, constraints) in arb_workload(),
+        method in 0usize..3,
+        restarts in 1usize..4,
+        edit_seed in any::<u64>(),
+    ) {
+        let config = FpartConfig::default();
+        let Ok(previous) = fpart_core::partition(&graph, constraints, &config) else {
+            return Ok(()); // infeasible baseline: nothing to repair
+        };
+        let applied = apply_script(&graph, &random_edit(&graph, 3, 2, edit_seed))
+            .expect("edit applies");
+        let (target, method) = match method {
+            0 => (&graph, RunMethod::Flat),
+            1 => (&graph, RunMethod::Multilevel(ml_config(1))),
+            _ => (
+                &applied.graph,
+                RunMethod::Eco {
+                    eco: EcoConfig { multilevel: ml_config(1), ..EcoConfig::default() },
+                    previous: &previous.assignment,
+                    node_map: &applied.node_map,
+                },
+            ),
+        };
+        let mut reference: Option<RunKey> = None;
+        for threads in [1usize, 4] {
+            let spec = RunSpec { restarts, threads, ..RunSpec::new(method.clone(), config.clone()) };
+            let plain = run(target, constraints, &spec, &mut Observer::none());
+            let expected = reference.get_or_insert_with(|| run_key(&plain)).clone();
+            prop_assert_eq!(run_key(&plain), expected.clone(), "unobserved, threads={}", threads);
+
+            let metered = run(target, constraints, &spec, &mut Observer::new(Metrics::enabled(), None));
+            prop_assert_eq!(run_key(&metered), expected.clone(), "metered, threads={}", threads);
+
+            if restarts == 1 {
+                let mut trace = Trace::enabled();
+                let mut obs = Observer::new(Metrics::enabled(), Some(&mut trace));
+                obs.heartbeat = Heartbeat::every(std::time::Duration::ZERO);
+                let sunk = run(target, constraints, &spec, &mut obs);
+                prop_assert_eq!(run_key(&sunk), expected, "sink attached, threads={}", threads);
+                if let (Ok(sunk), Ok(metered)) = (&sunk, &metered) {
+                    for counter in Counter::ALL {
+                        prop_assert_eq!(
+                            sunk.totals.get(counter),
+                            metered.totals.get(counter),
+                            "threads={} {}",
+                            threads,
+                            counter.name()
+                        );
+                    }
+                }
+            }
         }
     }
 }
@@ -231,7 +318,7 @@ fn cancellation_during_parallel_run_degrades_verifiably() {
             budget: RunBudget { cancel: Some(cancel), ..RunBudget::default() },
             ..FpartConfig::default()
         };
-        let outcome = partition_multilevel(&graph, constraints, &config, &ml_config(workers))
+        let outcome = multilevel(&graph, constraints, &config, &ml_config(workers))
             .expect("returns best-so-far");
         assert_eq!(outcome.completion, Completion::Cancelled, "workers={workers}");
         assert_eq!(outcome.assignment.len(), graph.node_count());
@@ -265,7 +352,7 @@ fn cancellation_during_parallel_run_degrades_verifiably() {
 fn targeted_pair_job_panic_recovers_deterministically() {
     quiet_injected_panics();
     let (graph, constraints) = busy_workload();
-    let clean = partition_multilevel(&graph, constraints, &FpartConfig::default(), &ml_config(1))
+    let clean = multilevel(&graph, constraints, &FpartConfig::default(), &ml_config(1))
         .expect("clean run partitions");
 
     let config = FpartConfig {
@@ -308,8 +395,8 @@ fn observation_does_not_change_parallel_results() {
     let (graph, constraints) = busy_workload();
     let config = FpartConfig::default();
     for workers in [1usize, 4] {
-        let plain = partition_multilevel(&graph, constraints, &config, &ml_config(workers))
-            .expect("partitions");
+        let plain =
+            multilevel(&graph, constraints, &config, &ml_config(workers)).expect("partitions");
         let mut obs = Observer::new(Metrics::enabled(), None);
         let observed = partition_multilevel_observed(
             &graph,
@@ -399,8 +486,8 @@ fn progress_streaming_does_not_change_parallel_results() {
     let (graph, constraints) = busy_workload();
     let config = FpartConfig::default();
     for workers in [1usize, 4] {
-        let plain = partition_multilevel(&graph, constraints, &config, &ml_config(workers))
-            .expect("partitions");
+        let plain =
+            multilevel(&graph, constraints, &config, &ml_config(workers)).expect("partitions");
         let mut sink = ProgressCounter::default();
         let mut obs = Observer::new(Metrics::enabled(), Some(&mut sink));
         obs.heartbeat = Heartbeat::every(std::time::Duration::ZERO);

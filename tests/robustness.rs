@@ -20,13 +20,37 @@ use std::time::{Duration, Instant};
 
 use fpart_core::verify::{verify_assignment, Violation};
 use fpart_core::{
-    partition, partition_restarts, partition_restarts_observed, CancelToken, Completion, Counter,
-    FaultPlan, FpartConfig, PartitionError, PartitionOutcome, RunBudget,
+    partition, run, CancelToken, Completion, Counter, FaultPlan, FpartConfig, Metrics, Observer,
+    PartitionError, PartitionOutcome, RestartsReport, RunBudget, RunMethod, RunSpec,
 };
 use fpart_device::DeviceConstraints;
 use fpart_hypergraph::gen::{window_circuit, WindowConfig};
 use fpart_hypergraph::Hypergraph;
 use proptest::prelude::*;
+
+/// `restarts` unobserved flat runs over `threads` workers through [`run`].
+fn flat_restarts(
+    graph: &Hypergraph,
+    constraints: DeviceConstraints,
+    config: &FpartConfig,
+    restarts: usize,
+    threads: usize,
+) -> Result<PartitionOutcome, PartitionError> {
+    let spec = RunSpec { restarts, threads, ..RunSpec::new(RunMethod::Flat, config.clone()) };
+    run(graph, constraints, &spec, &mut Observer::none()).map(|report| report.outcome)
+}
+
+/// `restarts` metered flat runs over `threads` workers through [`run`].
+fn observed_restarts(
+    graph: &Hypergraph,
+    constraints: DeviceConstraints,
+    config: &FpartConfig,
+    restarts: usize,
+    threads: usize,
+) -> Result<RestartsReport, PartitionError> {
+    let spec = RunSpec { restarts, threads, ..RunSpec::new(RunMethod::Flat, config.clone()) };
+    run(graph, constraints, &spec, &mut Observer::new(Metrics::enabled(), None))
+}
 
 /// Keeps deliberately injected panics out of the test output while
 /// still printing real ones. Installed once per test binary; the
@@ -175,7 +199,7 @@ proptest! {
             ..FpartConfig::default()
         };
 
-        let reference = match partition_restarts_observed(&graph, constraints, &config, 3, 1) {
+        let reference = match observed_restarts(&graph, constraints, &config, 3, 1) {
             Ok(report) => report,
             // All-failed only happens when every restart panics; with a
             // single victim that means restarts were collapsed — not
@@ -207,7 +231,7 @@ proptest! {
         assert_structurally_valid(&graph, &reference.outcome);
 
         for threads in [2usize, 4] {
-            let report = partition_restarts_observed(&graph, constraints, &config, 3, threads)
+            let report = observed_restarts(&graph, constraints, &config, 3, threads)
                 .expect("succeeded at 1 thread");
             prop_assert_eq!(&report.outcome.assignment, &reference.outcome.assignment, "threads={}", threads);
             prop_assert_eq!(report.outcome.cut, reference.outcome.cut);
@@ -234,7 +258,7 @@ proptest! {
 
         // The plain facade agrees with the observed one and degrades the
         // winner's completion (it has no report channel to carry it).
-        if let Ok(outcome) = partition_restarts(&graph, constraints, &config, 3, 4) {
+        if let Ok(outcome) = flat_restarts(&graph, constraints, &config, 3, 4) {
             prop_assert_eq!(&outcome.assignment, &reference.outcome.assignment);
             if !reference.failed.is_empty() {
                 prop_assert_eq!(outcome.completion, Completion::Degraded);
@@ -258,7 +282,7 @@ fn every_restart_panicking_is_a_typed_error() {
         ..FpartConfig::default()
     };
     for threads in [1usize, 4] {
-        let err = partition_restarts_observed(&graph, constraints, &config, 2, threads)
+        let err = observed_restarts(&graph, constraints, &config, 2, threads)
             .expect_err("all restarts panic");
         match err {
             PartitionError::RestartPanicked { restart, message } => {
@@ -267,7 +291,7 @@ fn every_restart_panicking_is_a_typed_error() {
             }
             other => panic!("expected RestartPanicked, got {other:?}"),
         }
-        let err = partition_restarts(&graph, constraints, &config, 2, threads)
+        let err = flat_restarts(&graph, constraints, &config, 2, threads)
             .expect_err("all restarts panic");
         assert!(matches!(err, PartitionError::RestartPanicked { restart: 0, .. }), "{err:?}");
     }
@@ -323,12 +347,12 @@ fn degenerate_search_configs_are_rejected_up_front() {
     let (graph, constraints) = busy_workload();
     let config = FpartConfig::default();
     for (restarts, threads) in [(0usize, 1usize), (1, 0), (0, 0)] {
-        let err = partition_restarts(&graph, constraints, &config, restarts, threads)
+        let err = flat_restarts(&graph, constraints, &config, restarts, threads)
             .expect_err("invalid config");
         assert!(matches!(err, PartitionError::InvalidConfig { .. }), "{err:?}");
         let text = err.to_string();
         assert!(text.contains("at least 1"), "{text}");
-        let err = partition_restarts_observed(&graph, constraints, &config, restarts, threads)
+        let err = observed_restarts(&graph, constraints, &config, restarts, threads)
             .expect_err("invalid config");
         assert!(matches!(err, PartitionError::InvalidConfig { .. }), "{err:?}");
     }
@@ -340,12 +364,12 @@ fn degenerate_search_configs_are_rejected_up_front() {
 fn delayed_restart_does_not_change_the_winner() {
     let (graph, constraints) = busy_workload();
     let plain =
-        partition_restarts(&graph, constraints, &FpartConfig::default(), 3, 1).expect("partitions");
+        flat_restarts(&graph, constraints, &FpartConfig::default(), 3, 1).expect("partitions");
     let config = FpartConfig {
         fault_plan: Some(FaultPlan::delay_at(1, Duration::from_millis(30)).for_only_restart(0)),
         ..FpartConfig::default()
     };
-    let delayed = partition_restarts(&graph, constraints, &config, 3, 4).expect("partitions");
+    let delayed = flat_restarts(&graph, constraints, &config, 3, 4).expect("partitions");
     assert_eq!(delayed.assignment, plain.assignment);
     assert_eq!(delayed.completion, Completion::Complete);
 }

@@ -11,14 +11,31 @@ use std::path::PathBuf;
 
 use fpart_core::server::protocol;
 use fpart_core::{
-    partition_multilevel_restarts, verify_assignment, FpartConfig, Json, MultilevelConfig, Server,
-    ServerConfig,
+    run, verify_assignment, FpartConfig, Json, MultilevelConfig, Observer, PartitionError,
+    PartitionOutcome, RunMethod, RunSpec, Server, ServerConfig,
 };
 use fpart_device::DeviceConstraints;
 use fpart_hypergraph::gen::{rent_circuit, window_circuit, RentConfig, WindowConfig};
 use fpart_hypergraph::Hypergraph;
 
 use proptest::prelude::*;
+
+/// `restarts` unobserved V-cycles over `threads` workers through [`run`].
+fn multilevel_restarts(
+    graph: &Hypergraph,
+    constraints: DeviceConstraints,
+    config: &FpartConfig,
+    ml: &MultilevelConfig,
+    restarts: usize,
+    threads: usize,
+) -> Result<PartitionOutcome, PartitionError> {
+    let spec = RunSpec {
+        restarts,
+        threads,
+        ..RunSpec::new(RunMethod::Multilevel(ml.clone()), config.clone())
+    };
+    run(graph, constraints, &spec, &mut Observer::none()).map(|report| report.outcome)
+}
 
 fn write_netlist(name: &str, graph: &Hypergraph) -> PathBuf {
     let dir = std::env::temp_dir().join("fpart_server_it");
@@ -94,7 +111,7 @@ proptest! {
         let result = final_reply(&replies, "p").get("result").unwrap();
 
         let cfg = FpartConfig { seed, ..FpartConfig::default() };
-        let expected = partition_multilevel_restarts(
+        let expected = multilevel_restarts(
             &graph,
             constraints,
             &cfg,
