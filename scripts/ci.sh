@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Local CI gate: formatting, lints, rustdoc links, release build, tests,
 # parser fuzz, degradation smoke, kill-resume durability gate,
-# quality-regression gate, observability smoke, memory gate (Linux),
-# partition-server smoke, smoke bench.
+# quality-regression gate, assignment bit-identity gate, observability
+# smoke, memory gate (Linux), partition-server smoke, smoke bench.
 #
 # Usage: scripts/ci.sh [--skip-bench]
 #
@@ -149,6 +149,17 @@ step "quality-regression gate (pinned circuits vs goldens/quality_gate.json)"
 # golden in the same commit.
 timeout 300 ./target/release/quality "$smoke_dir/quality.json"
 python3 scripts/check_quality.py "$smoke_dir/quality.json" goldens/quality_gate.json
+
+step "assignment bit-identity gate (goldens/assignment_digests.txt)"
+# The SHA-256 of the `--write-assignment` output of flat fpart, kway,
+# multilevel at 1 and 2 threads, and an eco repair must match the pinned
+# digests byte for byte. Engine optimisations promise identical results;
+# this gate holds them to it. An intentional behaviour change refreshes
+# the golden with scripts/assignment_digests.sh in the same commit.
+scripts/assignment_digests.sh ./target/release/fpart "$smoke_dir/digests" \
+    > "$smoke_dir/assignment_digests.txt"
+diff goldens/assignment_digests.txt "$smoke_dir/assignment_digests.txt" \
+    || { echo "assignment digests drifted from the golden" >&2; exit 1; }
 
 step "observability smoke (span profile + fpart report)"
 # A profiled multilevel run must produce a loadable metrics document, a
