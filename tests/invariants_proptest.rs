@@ -2,11 +2,12 @@
 //! random circuits, random move sequences, random device constraints.
 
 use fpart_core::bucket::GainBucket;
+use fpart_core::config::GainObjective;
 use fpart_core::cost::CostEvaluator;
 use fpart_core::{
-    partition, partition_multilevel_observed, run, Completion, FpartConfig, KeyTracker,
-    MultilevelConfig, Observer, PartitionError, PartitionOutcome, PartitionState, RunBudget,
-    RunMethod, RunSpec, SolutionKey,
+    improve_cells_metered, partition, partition_multilevel_observed, run, Completion, FpartConfig,
+    ImproveContext, KeyTracker, Metrics, MultilevelConfig, Observer, PartitionError,
+    PartitionOutcome, PartitionState, RunBudget, RunMethod, RunSpec, SolutionKey, NO_REMAINDER,
 };
 use fpart_device::DeviceConstraints;
 use fpart_hypergraph::coarsen::coarsen_to_floor;
@@ -532,6 +533,107 @@ proptest! {
                         prop_assert!(a.better_than(c));
                     }
                 }
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// One `Improve` call on random graphs and configurations. The engine
+    /// carries level-1 gains across passes and stack restarts and caches
+    /// tie-break gains within a pass; in this (debug) build it compares
+    /// every reused gain with the from-scratch gain function. On top, the
+    /// state must stay consistent, cells outside the given set must keep
+    /// their blocks, and the key contract must hold: the reported initial
+    /// and final keys are the from-scratch keys of the states before and
+    /// after, and the final one is never worse.
+    #[test]
+    fn improve_cells_keeps_state_and_key_contract(
+        nodes in 6usize..120,
+        graph_seed in any::<u64>(),
+        active_blocks in 2usize..6,
+        inactive_blocks in 0usize..2,
+        io_pins in any::<bool>(),
+        gain_levels in 1u8..5,
+        stacks in any::<bool>(),
+        patience in 0usize..6,
+        max_passes in 1usize..9,
+        boundary in any::<bool>(),
+        remainder in 0usize..7,
+        minimum_reached in any::<bool>(),
+        s_max in 4u64..60,
+        pick_seed in any::<u64>(),
+    ) {
+        let mut wcfg = WindowConfig::new("improve", nodes, nodes / 8);
+        wcfg.extra_size_prob = 0.2;
+        let graph = window_circuit(&wcfg, graph_seed);
+        let n = graph.node_count();
+        let k = active_blocks + inactive_blocks;
+        let mut rng = StdRng::seed_from_u64(pick_seed);
+        let assignment: Vec<u32> = (0..n).map(|_| rng.gen_range(0..k as u32)).collect();
+        let mut state = PartitionState::from_assignment(&graph, assignment, k);
+        // The active blocks, in a random order, among all blocks.
+        let mut blocks: Vec<usize> = (0..k).collect();
+        rng.shuffle(&mut blocks);
+        let active = &blocks[..active_blocks];
+        let mut cells: Vec<NodeId> =
+            graph.node_ids().filter(|&v| active.contains(&state.block_of(v))).collect();
+        if boundary {
+            // Boundary-style subset, as multilevel refinement passes:
+            // cells on a net that touches two active blocks, shuffled so
+            // cell positions differ from node indices.
+            cells.retain(|&v| {
+                graph.nets(v).iter().any(|&e| {
+                    graph.pins(e).iter().any(|&u| {
+                        let b = state.block_of(u);
+                        b != state.block_of(v) && active.contains(&b)
+                    })
+                })
+            });
+            rng.shuffle(&mut cells);
+        }
+        let config = FpartConfig {
+            gain_objective: if io_pins { GainObjective::IoPins } else { GainObjective::CutNets },
+            gain_levels,
+            use_solution_stacks: stacks,
+            early_stop_patience: (patience > 0).then_some(patience),
+            max_passes,
+            ..FpartConfig::default()
+        };
+        let constraints = DeviceConstraints::new(s_max, 2 + s_max as usize / 2);
+        let evaluator = CostEvaluator::new(constraints, &config, k, graph.terminal_count());
+        let remainder = if remainder < k { blocks[remainder] } else { NO_REMAINDER };
+        let ctx = ImproveContext {
+            evaluator: &evaluator,
+            config: &config,
+            remainder,
+            minimum_reached,
+            budget: None,
+        };
+        let key_of = |state: &PartitionState<'_>| {
+            evaluator.key(state, (remainder != NO_REMAINDER).then_some(remainder))
+        };
+        let before_key = key_of(&state);
+        let before: Vec<u32> = state.assignment().to_vec();
+        let mut metrics = Metrics::enabled();
+        let stats = improve_cells_metered(&mut state, active, &cells, &ctx, &mut metrics);
+        state.assert_consistent();
+        prop_assert_eq!(stats.initial_key, before_key);
+        prop_assert_eq!(stats.final_key, key_of(&state));
+        prop_assert!(!stats.initial_key.better_than(&stats.final_key), "improve made things worse");
+        prop_assert!(stacks || stats.restarts == 0);
+        let mut in_cells = vec![false; n];
+        for &v in &cells {
+            in_cells[v.index()] = true;
+        }
+        for v in graph.node_ids() {
+            let to = state.block_of(v);
+            if !in_cells[v.index()] {
+                prop_assert_eq!(to as u32, before[v.index()], "cell {:?} outside the set moved", v);
+            } else {
+                prop_assert!(active.contains(&to), "cell {:?} left the active blocks", v);
             }
         }
     }
