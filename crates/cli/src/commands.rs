@@ -161,7 +161,8 @@ pub fn partition(raw: &[String]) -> Result<(), CliError> {
             let engine = partition_engine(&args, multilevel, restarts)?;
             let config = FpartConfig { budget, ..FpartConfig::default() };
             let spec = RunSpec { restarts, threads, ..RunSpec::new(engine, config) };
-            let outcome = run_engine(&graph, constraints, &args, spec, 0)?.outcome;
+            let outcome =
+                run_engine(&graph, constraints, &args, spec, run_registry(&args))?.outcome;
             completion = outcome.completion;
             println!("{}", QualityReport::new(&outcome, constraints));
             (outcome.assignment, outcome.device_count, outcome.feasible, outcome.cut)
@@ -290,29 +291,23 @@ fn partition_engine(
 /// `--checkpoint-interval-ms`). The merged result is bit-identical to an
 /// uninterrupted run at any thread count.
 ///
-/// `edits_applied` is the length of the edit script `fpart eco` applied
-/// before the run; like the checkpoint writes, it is booked on restart
-/// 0 so the metrics totals stay the per-restart sums.
+/// `pre_run` is the registry the observer records into: see
+/// [`run_registry`]. Whatever it already holds when the run starts (the
+/// `eco_apply` span and edit count of `fpart eco`) happened once, before
+/// the restart fan-out; like the checkpoint writes, it is booked on
+/// restart 0 so the metrics totals stay the per-restart sums.
 #[allow(clippy::too_many_lines)]
 fn run_engine(
     graph: &Hypergraph,
     constraints: DeviceConstraints,
     args: &Args,
     spec: RunSpec<'_>,
-    edits_applied: usize,
+    pre_run: Metrics,
 ) -> Result<RestartsReport, CliError> {
     let metrics_path = args.option("metrics");
     let trace_json_path = args.option("trace-json");
     let chrome_path = args.option("trace-chrome");
     let progress = args.switch("progress");
-    // Spans ride in the metrics registry, so a chrome trace needs
-    // metered runs even when no --metrics file was asked for;
-    // heartbeats report the pass counter; a checkpoint banks each
-    // restart's counters.
-    let metered = metrics_path.is_some()
-        || chrome_path.is_some()
-        || progress
-        || args.option("checkpoint").is_some();
     let started = std::time::Instant::now();
 
     let resume = match args.option("resume") {
@@ -353,7 +348,7 @@ fn run_engine(
         None => None,
     };
     let mut progress_sink = progress.then_some(ProgressPrinter);
-    let result = {
+    let (result, pre_run) = {
         let mut sinks: Vec<&mut dyn EventSink> = Vec::new();
         if let Some(sink) = trace.as_mut() {
             sinks.push(sink);
@@ -366,13 +361,12 @@ fn run_engine(
         }
         let has_sinks = !sinks.is_empty();
         let mut fanout = FanoutSink::new(sinks);
-        let metrics = if metered { Metrics::enabled() } else { Metrics::disabled() };
         let mut obs =
-            Observer::new(metrics, has_sinks.then_some(&mut fanout as &mut dyn EventSink));
+            Observer::new(pre_run, has_sinks.then_some(&mut fanout as &mut dyn EventSink));
         if progress {
             obs.heartbeat = fpart_core::Heartbeat::every(PROGRESS_INTERVAL);
         }
-        fpart_core::run(graph, constraints, &spec, &mut obs)
+        (fpart_core::run(graph, constraints, &spec, &mut obs), obs.metrics)
     };
     let mut report = result.map_err(|e| CliError::Runtime(e.to_string()))?;
     if let Some(sink) = jsonl {
@@ -389,11 +383,10 @@ fn run_engine(
             .finish()
             .map_err(|e| CliError::Runtime(format!("cannot write checkpoint {path}: {e}")))?;
         // The writer thread sits outside the restart fan-out.
-        book_on_first_restart(&mut report, Counter::CheckpointsWritten, writes);
+        book_on_first_restart(&mut report, |m| m.add(Counter::CheckpointsWritten, writes));
         eprintln!("checkpoint: {writes} snapshots written to {path}");
     }
-    // The script was applied once, before the restart fan-out.
-    book_on_first_restart(&mut report, Counter::EcoEditsApplied, edits_applied as u64);
+    book_on_first_restart(&mut report, |m| m.merge(&pre_run));
 
     if let Some(path) = metrics_path {
         let quality = QualityReport::new(&report.outcome, constraints);
@@ -422,10 +415,27 @@ fn run_engine(
 
 /// Adds work done outside the restart fan-out to restart 0's registry
 /// and to the totals, so the totals stay the per-restart sums.
-fn book_on_first_restart(report: &mut RestartsReport, counter: Counter, n: u64) {
-    report.totals.add(counter, n);
+fn book_on_first_restart(report: &mut RestartsReport, book: impl Fn(&mut Metrics)) {
+    book(&mut report.totals);
     if let Some(first) = report.per_restart.first_mut() {
-        first.add(counter, n);
+        book(first);
+    }
+}
+
+/// The registry a run of these flags records into: enabled when any
+/// output needs metrics. Spans ride in the registry, so a chrome trace
+/// needs metered runs even when no --metrics file was asked for;
+/// heartbeats report the pass counter; a checkpoint banks each
+/// restart's counters.
+fn run_registry(args: &Args) -> Metrics {
+    let metered = args.option("metrics").is_some()
+        || args.option("trace-chrome").is_some()
+        || args.switch("progress")
+        || args.option("checkpoint").is_some();
+    if metered {
+        Metrics::enabled()
+    } else {
+        Metrics::disabled()
     }
 }
 
@@ -853,7 +863,8 @@ pub fn eco(raw: &[String]) -> Result<(), CliError> {
         .map_err(|e| CliError::Input(format!("cannot read {edits_file}: {e}")))?;
     let script = fpart_hypergraph::EditScript::read_limited(edits, &limits)
         .map_err(|e| CliError::Input(format!("{edits_file}: {e}")))?;
-    let applied = fpart_hypergraph::apply_script(&graph, &script)
+    let mut registry = run_registry(&args);
+    let applied = fpart_core::apply_script_metered(&graph, &script, &mut registry)
         .map_err(|e| CliError::Input(format!("{edits_file}: {e}")))?;
     eprintln!(
         "{input}: {} cells in {prev_k} blocks; {} edits -> {} cells (+{} -{}); device {constraints}",
@@ -879,7 +890,7 @@ pub fn eco(raw: &[String]) -> Result<(), CliError> {
     let method =
         RunMethod::Eco { eco: eco_config, previous: &previous, node_map: &applied.node_map };
     let spec = RunSpec { restarts, threads, ..RunSpec::new(method, config) };
-    let report = run_engine(&applied.graph, constraints, &args, spec, script.len())?;
+    let report = run_engine(&applied.graph, constraints, &args, spec, registry)?;
     if let Some(eco) = report.eco {
         eprintln!(
             "eco: {} (churn {:.4}, carried {}, placed {}, removed {}, dirty blocks {})",

@@ -625,8 +625,58 @@ fn eco_repairs_an_edited_netlist() {
     );
 }
 
-/// `--metrics -` and `--trace-json -` write their documents to stdout
-/// instead of a file.
+/// `fpart eco --metrics` records applying the edit script as an
+/// `eco_apply` span, which `fpart report` renders in the phase tree.
+#[test]
+fn eco_metrics_report_the_apply_span() {
+    let dir = temp_dir("eco-apply-span");
+    let netlist = dir.join("c.fhg");
+    let assignment = dir.join("p.txt");
+    let edits = dir.join("edits.jsonl");
+    let metrics = dir.join("metrics.json");
+    let out = fpart()
+        .args(["gen", "window", "--nodes", "300", "--terminals", "24", "--seed", "9", "--output"])
+        .arg(&netlist)
+        .output()
+        .expect("runs");
+    assert!(out.status.success());
+    let out = fpart()
+        .arg("partition")
+        .arg(&netlist)
+        .args(["--device", "XC3020", "--write-assignment"])
+        .arg(&assignment)
+        .output()
+        .expect("runs");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    std::fs::write(
+        &edits,
+        "{\"op\": \"remove_node\", \"name\": \"x7\"}\n\
+         {\"op\": \"add_node\", \"name\": \"spin_a\", \"size\": 1}\n",
+    )
+    .expect("edits written");
+    for restarts in ["1", "2"] {
+        let out = fpart()
+            .arg("eco")
+            .arg(&netlist)
+            .arg("--assignment")
+            .arg(&assignment)
+            .arg("--edits")
+            .arg(&edits)
+            .args(["--device", "XC3020", "--restarts", restarts, "--metrics"])
+            .arg(&metrics)
+            .output()
+            .expect("runs");
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        let text = std::fs::read_to_string(&metrics).expect("metrics written");
+        assert!(text.contains("{\"kind\": \"eco_apply\""), "restarts {restarts}: {text}");
+        assert!(text.contains("\"eco_edits_applied\": 2"), "restarts {restarts}: {text}");
+        let out = fpart().arg("report").arg("--metrics").arg(&metrics).output().expect("runs");
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        let report = String::from_utf8_lossy(&out.stdout);
+        assert!(report.contains("eco_apply"), "restarts {restarts}: {report}");
+    }
+}
+
 /// Every `fpart eco` path — one restart, several restarts, metered or
 /// not, any thread count — reports the winning repair on stderr and
 /// writes the same repaired assignment.
@@ -693,6 +743,8 @@ fn eco_reports_the_repair_on_every_path() {
     }
 }
 
+/// `--metrics -` and `--trace-json -` write their documents to stdout
+/// instead of a file.
 #[test]
 fn metrics_and_trace_json_accept_stdout() {
     let dir = temp_dir("stdout_dash");

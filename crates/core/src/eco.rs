@@ -29,14 +29,14 @@
 use std::time::Instant;
 
 use fpart_device::{lower_bound, DeviceConstraints};
-use fpart_hypergraph::{Hypergraph, NodeId};
+use fpart_hypergraph::{apply_script, ApplyEditError, EditApplied, EditScript, Hypergraph, NodeId};
 
 use crate::budget::BudgetTracker;
 use crate::config::FpartConfig;
 use crate::cost::CostEvaluator;
 use crate::driver::{assemble_outcome, check_node_sizes, PartitionError, PartitionOutcome};
 use crate::multilevel::{partition_multilevel_observed, MultilevelConfig};
-use crate::obs::{Counter, Observer};
+use crate::obs::{Counter, Metrics, Observer, SpanKind, SpanStats};
 use crate::refine::{refine_boundary_dirty_metered, RefineConfig};
 use crate::state::PartitionState;
 use crate::verify::verify_assignment;
@@ -139,6 +139,38 @@ pub struct EcoSummary {
     pub dirty_blocks: usize,
     /// See [`EcoReport::churn`].
     pub churn: f64,
+}
+
+/// [`apply_script`] as one `eco_apply` span of `metrics`, its edits
+/// counted in [`Counter::EcoEditsApplied`]. The span's stats hold the
+/// edited graph's node and net counts and, as `moves`, the script
+/// length. Front ends call this before [`crate::run`] with
+/// [`crate::RunMethod::Eco`], which repairs the edited graph.
+///
+/// # Errors
+///
+/// Any [`ApplyEditError`] of the script (nothing is counted then).
+pub fn apply_script_metered(
+    graph: &Hypergraph,
+    script: &EditScript,
+    metrics: &mut Metrics,
+) -> Result<EditApplied, ApplyEditError> {
+    metrics.span_open(SpanKind::EcoApply, 0);
+    let applied = apply_script(graph, script);
+    let stats = match &applied {
+        Ok(edited) => {
+            metrics.add(Counter::EcoEditsApplied, script.len() as u64);
+            SpanStats {
+                nodes: edited.graph.node_count() as u64,
+                nets: edited.graph.net_count() as u64,
+                moves: script.len() as u64,
+                ..SpanStats::default()
+            }
+        }
+        Err(_) => SpanStats::default(),
+    };
+    metrics.span_close(stats);
+    applied
 }
 
 /// Repairs `previous` — a `k`-way assignment of the graph the edit

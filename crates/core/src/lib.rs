@@ -121,7 +121,7 @@ pub use config::FpartConfig;
 pub use cost::{classify, CostEvaluator, FeasibilityClass, KeyTracker, SolutionKey};
 pub use direct::{partition_direct, DirectConfig};
 pub use driver::{partition, partition_observed, BlockReport, PartitionError, PartitionOutcome};
-pub use eco::{repartition_eco_observed, EcoConfig, EcoReport, EcoSummary};
+pub use eco::{apply_script_metered, repartition_eco_observed, EcoConfig, EcoReport, EcoSummary};
 pub use engine::{
     improve, improve_cells_metered, improve_metered, ImproveContext, ImproveStats, NO_REMAINDER,
 };

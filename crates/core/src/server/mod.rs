@@ -42,9 +42,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use fpart_device::{Device, DeviceConstraints};
-use fpart_hypergraph::{
-    apply_script, fingerprint_graph, EditScript, Fingerprint, Hypergraph, ParseLimits,
-};
+use fpart_hypergraph::{fingerprint_graph, EditScript, Fingerprint, Hypergraph, ParseLimits};
 
 use crate::budget::{CancelToken, Completion, RunBudget};
 use crate::config::FpartConfig;
@@ -585,7 +583,8 @@ impl Server {
         };
         let (cfg, threads) = self.budgeted_config(params, cancel);
         let started = Instant::now();
-        let edited = apply_script(&graph, script)
+        let mut applying = Metrics::enabled();
+        let edited = crate::eco::apply_script_metered(&graph, script, &mut applying)
             .map_err(|e| ProtocolError::new("bad_request", format!("edit script failed: {e}")))?;
         // O(edit) fingerprint maintenance: the session hash advances by
         // the edit's XOR delta instead of an O(pins) rehash.
@@ -613,6 +612,7 @@ impl Server {
         );
         let mut s = session.lock().unwrap();
         s.requests += 1;
+        s.totals.merge(&applying);
         s.totals.merge(&report.totals);
         s.totals.bump(Counter::ServerRequests);
         if report.completion == Completion::Cancelled {
@@ -1114,6 +1114,40 @@ mod tests {
         assert_eq!(q.get("requests").unwrap().as_u64(), Some(1));
         assert_eq!(q.get("has_assignment"), Some(&Json::Bool(true)));
         assert_eq!(q.get("counters").unwrap().get("server_requests").unwrap().as_u64(), Some(1));
+    }
+
+    /// An `eco` request books the application of its edit script as an
+    /// `eco_apply` span (and its edit count) in the session totals.
+    #[test]
+    fn eco_books_the_script_application_span() {
+        let path = temp_netlist("eco_apply_span", 120, 8);
+        let server = Server::new(ServerConfig::default());
+        let mut out = Vec::new();
+        server.handle(
+            &format!(
+                "{{\"id\": \"1\", \"cmd\": \"load\", \"session\": \"s\", \"path\": {}, \
+                 \"s_max\": 40, \"t_max\": 24}}",
+                protocol::json_string(path.to_str().unwrap())
+            ),
+            &mut out,
+        );
+        server.handle("{\"id\": \"2\", \"cmd\": \"partition\", \"session\": \"s\"}", &mut out);
+        server.handle(
+            "{\"id\": \"3\", \"cmd\": \"eco\", \"session\": \"s\", \"edits\": \
+             \"{\\\"op\\\": \\\"add_node\\\", \\\"name\\\": \\\"e0\\\", \\\"size\\\": 1}\"}",
+            &mut out,
+        );
+        let replies = parse_reply(&out);
+        assert_eq!(replies[2].get("ok"), Some(&Json::Bool(true)), "{:?}", replies[2]);
+        let session = server.session("s").unwrap();
+        let s = session.lock().unwrap();
+        let apply =
+            s.totals.spans().records().iter().find(|r| r.kind == crate::obs::SpanKind::EcoApply);
+        let apply = apply.expect("eco_apply span booked");
+        assert_eq!(apply.count, 1);
+        assert_eq!(apply.stats.moves, 1);
+        assert_eq!(apply.stats.nodes, 121);
+        assert_eq!(s.totals.get(Counter::EcoEditsApplied), 1);
     }
 
     #[test]
