@@ -8,6 +8,9 @@
 # netlists and assignments. The jobs cover the FM engine's configurations:
 #
 #   flat      fpart on s38584 (XC3000 technology) onto XC3020, delta 0.9
+#   flat-xc3090
+#             the same netlist onto XC3090, delta 0.9: M = 11 <= n_small, so
+#             the schedule runs all-blocks (multi-block) improve passes
 #   kway      --method kway on the same netlist (one gain level, no stacks)
 #   ml-t1     --multilevel on a 20k-cell Rent netlist, --threads 1
 #   ml-t2     the same at --threads 2
@@ -36,6 +39,7 @@ run() {
 }
 
 run flat "$fpart" partition "$dir/s38584.fhg" --device XC3020 --delta 0.9
+run flat-xc3090 "$fpart" partition "$dir/s38584.fhg" --device XC3090 --delta 0.9
 run kway "$fpart" partition "$dir/s38584.fhg" --device XC3020 --delta 0.9 --method kway
 run ml-t1 "$fpart" partition "$dir/rent20k.fhg" --s-max 400 --t-max 120 --multilevel --threads 1
 run ml-t2 "$fpart" partition "$dir/rent20k.fhg" --s-max 400 --t-max 120 --multilevel --threads 2
