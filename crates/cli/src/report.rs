@@ -126,6 +126,12 @@ fn render(doc: &Json, top: usize) -> String {
                  eviction(s), {warm} warm-started restart(s)"
             );
         }
+        // FM passes run and replayed from the per-call pass memo
+        // (schema 11).
+        let (passes, replays) = (count("passes"), count("pass_replays"));
+        if passes + replays > 0 {
+            let _ = writeln!(out, "fm passes: {passes} run, {replays} replayed from the pass memo");
+        }
     }
 
     let rows = span_rows(doc);
@@ -396,6 +402,19 @@ hot phases (top 3 by self time):
         )
         .unwrap();
         assert!(!render(&doc, 3).contains("cache:"));
+    }
+
+    #[test]
+    fn pass_line_counts_run_and_replayed_passes() {
+        let doc = Json::parse(FIXTURE).unwrap();
+        assert!(!render(&doc, 3).contains("fm passes:"));
+        let doc = Json::parse(
+            r#"{"schema_version": 11, "elapsed_ms": 10, "totals": {
+                "counters": {"passes": 12, "pass_replays": 5}, "spans": []}}"#,
+        )
+        .unwrap();
+        let text = render(&doc, 3);
+        assert!(text.contains("fm passes: 12 run, 5 replayed from the pass memo"), "{text}");
     }
 
     #[test]

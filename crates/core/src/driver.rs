@@ -355,7 +355,7 @@ pub(crate) fn partition_with_tracker(
         // branch, no clock read). `level` is the peeling iteration.
         if let Some(elapsed) = obs.heartbeat.due() {
             let snapshot = tracker.remaining();
-            let passes = obs.metrics.get(Counter::Passes);
+            let passes = obs.metrics.fm_passes();
             let cut = state.cut_count();
             obs.emit(|| TraceEvent::Progress {
                 phase: crate::obs::SpanKind::Initial,

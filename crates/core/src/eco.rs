@@ -408,7 +408,7 @@ pub fn repartition_eco_observed(
         });
         if let Some(elapsed) = obs.heartbeat.due() {
             let snapshot = tracker.remaining();
-            let passes = obs.metrics.get(Counter::Passes);
+            let passes = obs.metrics.fm_passes();
             let cut = state.cut_count();
             obs.emit(|| crate::trace::TraceEvent::Progress {
                 phase: crate::obs::SpanKind::EcoRepair,

@@ -297,7 +297,7 @@ pub(crate) fn partition_multilevel_observed_keyed(
         });
         if let Some(elapsed) = obs.heartbeat.due() {
             let snapshot = tracker.remaining();
-            let passes = obs.metrics.get(Counter::Passes);
+            let passes = obs.metrics.fm_passes();
             let cut = state.cut_count();
             obs.emit(|| crate::trace::TraceEvent::Progress {
                 phase: SpanKind::RefineLevel,

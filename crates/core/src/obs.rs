@@ -52,7 +52,11 @@ use crate::trace::{ImproveKind, TraceEvent};
 /// `hierarchy_cache_hits` / `hierarchy_cache_misses` /
 /// `hierarchy_cache_evictions` / `memo_warm_starts` /
 /// `server_coalesced` counters, and the smoke bench's `memo` section.
-pub const SCHEMA_VERSION: u32 = 10;
+///
+/// Version 11 adds the `pass_replays` counter: FM passes answered from
+/// the per-call pass memo instead of being run (`passes` keeps counting
+/// the passes actually run).
+pub const SCHEMA_VERSION: u32 = 11;
 
 /// The named engine counters. Every counter is a monotonically
 /// increasing `u64`; [`Counter::name`] is the stable `snake_case` key used
@@ -60,7 +64,8 @@ pub const SCHEMA_VERSION: u32 = 10;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(usize)]
 pub enum Counter {
-    /// FM passes executed (`engine::run_pass` entries).
+    /// FM passes executed (`engine::run_pass` entries); passes answered
+    /// from the pass memo count in `pass_replays` instead.
     Passes = 0,
     /// Cell moves applied inside pass loops (before any rollback).
     MovesApplied,
@@ -128,11 +133,17 @@ pub enum Counter {
     MemoWarmStarts,
     /// Duplicate in-flight server requests coalesced onto one run.
     ServerCoalesced,
+    /// FM passes replayed from the pass memo of their improvement call
+    /// instead of being run: a restart-series pass that starts from an
+    /// assignment an earlier pass of the call started from. Its kept
+    /// moves count in `moves_applied`; it counts in no other engine
+    /// counter.
+    PassReplays,
 }
 
 impl Counter {
     /// Every counter, in serialization order.
-    pub const ALL: [Counter; 30] = [
+    pub const ALL: [Counter; 31] = [
         Counter::Passes,
         Counter::MovesApplied,
         Counter::MovesReverted,
@@ -163,6 +174,7 @@ impl Counter {
         Counter::HierarchyCacheEvictions,
         Counter::MemoWarmStarts,
         Counter::ServerCoalesced,
+        Counter::PassReplays,
     ];
 
     /// Stable `snake_case` key of this counter in serialized metrics.
@@ -199,6 +211,7 @@ impl Counter {
             Counter::HierarchyCacheEvictions => "hierarchy_cache_evictions",
             Counter::MemoWarmStarts => "memo_warm_starts",
             Counter::ServerCoalesced => "server_coalesced",
+            Counter::PassReplays => "pass_replays",
         }
     }
 }
@@ -790,6 +803,13 @@ impl Metrics {
     #[must_use]
     pub fn get(&self, counter: Counter) -> u64 {
         self.counters[counter as usize]
+    }
+
+    /// FM passes so far, run or replayed from the pass memo: the passes
+    /// a pass budget and [`crate::ImproveStats::passes`] count.
+    #[must_use]
+    pub fn fm_passes(&self) -> u64 {
+        self.get(Counter::Passes) + self.get(Counter::PassReplays)
     }
 
     /// Reads the monotonic clock iff enabled — pair with

@@ -417,7 +417,7 @@ impl Server {
                  \"has_assignment\": {}, \"fingerprint\": \"{}\", \
                  \"counters\": {{\"server_requests\": {}, \
                  \"server_cancelled\": {}, \"server_coalesced\": {}, \"runs\": {}, \
-                 \"passes\": {}, \"moves_applied\": {}}}}}",
+                 \"passes\": {}, \"pass_replays\": {}, \"moves_applied\": {}}}}}",
                 protocol::json_string(name),
                 protocol::json_string(&s.path),
                 s.graph.node_count(),
@@ -433,6 +433,7 @@ impl Server {
                 s.totals.get(Counter::ServerCoalesced),
                 s.totals.get(Counter::Runs),
                 s.totals.get(Counter::Passes),
+                s.totals.get(Counter::PassReplays),
                 s.totals.get(Counter::MovesApplied),
             ));
         }
@@ -1036,7 +1037,7 @@ fn render_run_result(
         "{{\"session\": {}, \"devices\": {}, \"lower_bound\": {}, \"feasible\": {}, \
          \"cut\": {}, \"total_moves\": {}, \"completion\": \"{}\", \"restarts\": {restarts}, \
          \"threads\": {threads}, \"failed_restarts\": {}, \"elapsed_ms\": {elapsed_ms}, \
-         \"counters\": {{\"runs\": {}, \"passes\": {}, \"moves_applied\": {}}}{extra}",
+         \"counters\": {{\"runs\": {}, \"passes\": {}, \"pass_replays\": {}, \"moves_applied\": {}}}{extra}",
         protocol::json_string(name),
         o.device_count,
         o.lower_bound,
@@ -1047,6 +1048,7 @@ fn render_run_result(
         report.failed.len(),
         report.totals.get(Counter::Runs),
         report.totals.get(Counter::Passes),
+        report.totals.get(Counter::PassReplays),
         report.totals.get(Counter::MovesApplied),
     );
     if params.return_assignment {

@@ -114,7 +114,8 @@ pub enum TraceEvent {
         /// Hierarchy level of the phase (uncoarsen level, peeling
         /// iteration, …).
         level: usize,
-        /// FM passes executed so far by this run.
+        /// FM passes executed so far by this run, run or replayed from
+        /// the pass memo.
         passes: u64,
         /// Moves retained so far by this run.
         moves: u64,

@@ -244,7 +244,7 @@ if [ "$skip_bench" -eq 0 ]; then
     # with bit-identical results and a cold-path memo overhead <= 1%,
     # so a malformed or regressed bench fails CI rather than silently
     # shipping.
-    python3 scripts/check_bench.py BENCH_pr10.json --schema-version 10
+    python3 scripts/check_bench.py BENCH_pr10.json --schema-version 11
 
     step "bench trend gate (BENCH_pr10.json vs committed BENCH_pr9.json)"
     # The machine-normalized speedup ratios the two artifacts share

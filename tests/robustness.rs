@@ -384,7 +384,7 @@ fn pass_budget_bounds_the_pass_count() {
         fpart_core::partition_observed(&graph, constraints, &FpartConfig::default(), &mut obs)
             .expect("partitions")
     };
-    let free_passes = free.metrics.get(Counter::Passes);
+    let free_passes = free.metrics.fm_passes();
     assert!(free_passes > 3, "workload must be non-trivial, got {free_passes} passes");
 
     let config = FpartConfig {
@@ -398,9 +398,9 @@ fn pass_budget_bounds_the_pass_count() {
     };
     assert_eq!(capped.completion, Completion::Degraded);
     assert!(
-        capped.metrics.get(Counter::Passes) <= 4,
+        capped.metrics.fm_passes() <= 4,
         "cap of 3 allows at most the in-flight pass to finish, got {}",
-        capped.metrics.get(Counter::Passes)
+        capped.metrics.fm_passes()
     );
     assert_eq!(capped.metrics.get(Counter::BudgetStops), 1);
     assert_structurally_valid(&graph, &capped);
